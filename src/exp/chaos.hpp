@@ -27,9 +27,10 @@ struct InvariantViolation {
 //   completeness       every crash is eventually suspected (missed == 0).
 //                      Holds because the injector's TTR exceeds any finite
 //                      detector timeout: silence eventually wins.
-//   crash-consistency  detections + missed ≤ crashes ≤ detections+missed+1
-//                      (the +1 is a crash still pending at run end), and
-//                      every detector observed the same crash count.
+//   crash-consistency  detections + missed ≤ crashes ≤ detections + missed
+//                      + runs·endpoints (each run, and each endpoint of a
+//                      fleet run, may end with one crash still pending),
+//                      and every detector observed the same crash count.
 //   td-nonnegative     all T_D samples ≥ 0 (min ≥ 0 when any recorded).
 //   tm-nonnegative     same for T_M.
 //   tmr-nonnegative    same for T_MR.

@@ -265,7 +265,8 @@ RunOutput run_one(const QosExperimentConfig& config,
   std::function<void()> progress_tick;
   if (progress != nullptr) {
     const Duration tick_every = config.eta * 5;
-    progress_tick = [&, run] {
+    // tick_every by value: the tick outlives this block.
+    progress_tick = [&, run, tick_every] {
       std::unique_lock<std::mutex> lock(progress->mu, std::try_to_lock);
       // A tick that loses the race simply skips this line; another run's
       // tick just emitted one.
@@ -699,7 +700,8 @@ RunOutput run_one_lp(const QosExperimentConfig& config,
   std::function<void()> progress_tick;
   if (progress != nullptr) {
     const Duration tick_every = config.eta * 5;
-    progress_tick = [&, run] {
+    // tick_every by value: the tick outlives this block.
+    progress_tick = [&, run, tick_every] {
       std::unique_lock<std::mutex> lock(progress->mu, std::try_to_lock);
       if (lock.owns_lock() && progress->emitter.due()) {
         const std::size_t suspecting =

@@ -45,7 +45,6 @@ std::size_t DetectorBank::add_lane(std::string name, std::size_t group,
   margins_.push_back(std::move(margin));
   freshness_index_.push_back(0);
   suspecting_.push_back(0);
-  armed_delta_ms_.push_back(config_.cold_start_timeout.to_millis_double());
   return margins_.size() - 1;
 }
 
@@ -61,6 +60,15 @@ bool DetectorBank::lane_suspecting(std::size_t lane) const {
 
 std::int64_t DetectorBank::lane_freshness_index(std::size_t lane) const {
   FDQOS_REQUIRE(lane < width());
+  // Rows not yet folded count once their due for this lane has passed;
+  // the newest such row carries the highest index.
+  const TimePoint now = simulator_.now();
+  for (std::size_t r = rows_; r-- > 0;) {
+    if (dues_[row_offset(r) + lane] <= now) {
+      return std::max(freshness_index_[lane],
+                      first_row_ + static_cast<std::int64_t>(r));
+    }
+  }
   return freshness_index_[lane];
 }
 
@@ -119,7 +127,29 @@ void DetectorBank::reserve_lanes(std::size_t lanes) {
   margins_.reserve(lanes);
   freshness_index_.reserve(lanes);
   suspecting_.reserve(lanes);
-  armed_delta_ms_.reserve(lanes);
+}
+
+void DetectorBank::reserve_rows(std::size_t rows) {
+  FDQOS_REQUIRE(width() > 0);
+  if (rows > capacity_rows_) grow_rows(rows);
+}
+
+std::size_t DetectorBank::row_offset(std::size_t r) const {
+  std::size_t slot = head_ + r;
+  if (slot >= capacity_rows_) slot -= capacity_rows_;
+  return slot * width();
+}
+
+void DetectorBank::grow_rows(std::size_t capacity) {
+  // One flat buffer per bank: re-lay the rows in flight out from slot 0.
+  std::vector<TimePoint> grown(capacity * width());
+  for (std::size_t r = 0; r < rows_; ++r) {
+    std::copy_n(dues_.data() + row_offset(r), width(),
+                grown.data() + r * width());
+  }
+  dues_.swap(grown);
+  head_ = 0;
+  capacity_rows_ = static_cast<std::uint32_t>(capacity);
 }
 
 void DetectorBank::start() {
@@ -131,26 +161,55 @@ void DetectorBank::start() {
 }
 
 void DetectorBank::begin_cycle(std::int64_t k) {
+  const TimePoint now = simulator_.now();
+  // Fold every oldest row whose dues have all passed: its live dues have
+  // fired (an event strictly before now has run), and the dead ones can
+  // only raise freshness_index_, which no later decision depends on.
+  while (rows_ > 0) {
+    const TimePoint* dues = dues_.data() + row_offset(0);
+    if (std::any_of(dues, dues + width(),
+                    [now](TimePoint due) { return due >= now; })) {
+      break;
+    }
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      freshness_index_[lane] = std::max(freshness_index_[lane], first_row_);
+    }
+    ++first_row_;
+    if (++head_ == capacity_rows_) head_ = 0;
+    --rows_;
+  }
+
   // At the beginning of cycle k, compute τ_{k+1} = σ_{k+1} + δ_{k+1} for
   // every lane from current estimator state. The shared predictor's
   // forecast is memoized, so a group of N lanes pays one evaluation.
   const std::int64_t next = k + 1;
   const TimePoint sigma_next = config_.epoch + config_.eta * next;
-  // Legacy runs one cycle-begin event per detector; the bank runs one for
-  // the whole suite.
-  counters_.coalesced_timers += width() - 1;
+  if (rows_ == 0) first_row_ = next;
+  FDQOS_DASSERT(first_row_ + rows_ == next);
+  if (rows_ == capacity_rows_) grow_rows(std::max<std::size_t>(2, 2 * rows_));
+  TimePoint* dues = dues_.data() + row_offset(rows_++);
+  TimePoint row_front = TimePoint::max();
   for (std::size_t lane = 0; lane < width(); ++lane) {
-    const double delta = lane_delta_ms(lane);
-    armed_delta_ms_[lane] = delta;
-    const TimePoint tau_next =
-        sigma_next + Duration::from_millis_double(delta);
     // The check runs one tick *after* τ: a heartbeat arriving exactly at
     // the freshness point still counts as fresh (the interval [τ_i,
     // τ_{i+1}] is inspected only once both endpoints' arrivals have had
     // their chance).
-    push_expiry(tau_next + Duration::nanos(1), next, lane);
+    dues[lane] =
+        sigma_next + Duration::from_millis_double(lane_delta_ms(lane)) +
+        Duration::nanos(1);
+    row_front = std::min(row_front, dues[lane]);
   }
-  arm_timer();
+  // Legacy schedules a cycle-begin and a freshness event per detector per
+  // cycle; the bank schedules one tick, and each timer event it fires is
+  // taken back in fire_due(). A row born dead (seq already ≥ next) arms
+  // nothing; a live one moves the timer only if it undercuts the current
+  // deadline (under delay spikes a later cycle's τ can precede an earlier
+  // one's).
+  counters_.coalesced_timers += 2 * width() - 1;
+  if (next > max_seq_ &&
+      row_front < (host_ != nullptr ? host_reported_ : armed_.time())) {
+    arm_at(row_front);
+  }
 
   // The next cycle begins at σ_{k+1}. A hosted bank schedules nothing: the
   // host's shared shard tick calls host_begin_cycle(next) at σ_{k+1}.
@@ -164,74 +223,84 @@ void DetectorBank::host_begin_cycle(std::int64_t k) {
   begin_cycle(k);
 }
 
-void DetectorBank::push_expiry(TimePoint due, std::int64_t index,
-                               std::size_t lane) {
-  expiries_.push_back(Expiry{due, next_expiry_seq_++, index,
-                             static_cast<std::uint32_t>(lane)});
-  std::push_heap(expiries_.begin(), expiries_.end(), ExpiryAfter{});
-}
-
 TimePoint DetectorBank::earliest_expiry() const {
-  return expiries_.empty() ? TimePoint::max() : expiries_.front().due;
+  TimePoint front = TimePoint::max();
+  const std::int64_t live_from = std::max(first_row_, max_seq_ + 1);
+  for (std::int64_t i = live_from; i < first_row_ + rows_; ++i) {
+    const TimePoint* dues =
+        dues_.data() + row_offset(static_cast<std::size_t>(i - first_row_));
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      if (dues[lane] > fired_through_ && dues[lane] < front) {
+        front = dues[lane];
+      }
+    }
+  }
+  return front;
 }
 
-void DetectorBank::arm_timer() {
-  if (expiries_.empty()) return;
-  const TimePoint front = expiries_.front().due;
+void DetectorBank::arm_at(TimePoint front) {
   if (host_ != nullptr) {
-    // Hosted: report instead of arming. Same undercut rule — the host
-    // already holds an entry at host_reported_, so only an earlier front
-    // needs a new one.
+    // Hosted: report instead of arming. The host already holds an entry at
+    // host_reported_, so only an earlier front needs a new one.
     if (host_reported_ <= front) return;
     host_reported_ = front;
     host_->member_deadline_changed(host_member_, front);
     return;
   }
-  // Under delay spikes a later cycle's τ can undercut an already-armed
-  // earlier one; re-arm at the new front (O(1) tombstone cancel).
-  if (armed_.time() <= front) return;
+  // Solo: the armed event always sits at the earliest live due, so it
+  // moves when a row undercuts it, when it fires, and when a heartbeat
+  // kills its row (O(1) tombstone cancel).
+  if (armed_.time() == front) return;
   armed_.cancel();
+  if (front == TimePoint::max()) return;
   armed_ = simulator_.schedule_at(front, [this] { timer_fired(); });
 }
 
-void DetectorBank::timer_fired() {
-  ++counters_.timer_events;
-  pop_due(simulator_.now());
-  arm_timer();
-}
+void DetectorBank::timer_fired() { arm_at(fire_due(simulator_.now())); }
 
 void DetectorBank::host_timer_check() {
-  // A host-queue entry for this member came due. It may be stale (the solo
-  // engine would have tombstone-cancelled it): only count a fire when
-  // something actually pops. Either way the consumed entry is replaced by
-  // re-reporting the current front, so the next real deadline still fires.
-  const TimePoint now = simulator_.now();
-  if (!expiries_.empty() && expiries_.front().due <= now) {
-    ++counters_.timer_events;
-    pop_due(now);
-  }
+  // A host-queue entry for this member came due. It may be stale (its row
+  // died, or a later report undercut it): fire_due() then finds nothing.
+  // Either way the consumed entry is replaced by re-reporting the current
+  // front, so the next live deadline still fires.
+  const TimePoint front = fire_due(simulator_.now());
   host_reported_ = TimePoint::max();
-  arm_timer();
+  arm_at(front);
 }
 
-void DetectorBank::pop_due(TimePoint now) {
-  bool first = true;
-  while (!expiries_.empty() && expiries_.front().due <= now) {
-    std::pop_heap(expiries_.begin(), expiries_.end(), ExpiryAfter{});
-    const Expiry e = expiries_.back();
-    expiries_.pop_back();
-    if (!first) ++counters_.coalesced_timers;
-    first = false;
-    freshness_reached(e.lane, e.index);
+TimePoint DetectorBank::fire_due(TimePoint now) {
+  // Dispatch every pending live due ≤ now in (cycle, lane) order — the
+  // order in which the dues were pushed, and so the order independent
+  // per-detector events at one instant would fire in — and return the
+  // earliest live due still pending.
+  const TimePoint since = fired_through_;
+  fired_through_ = now;
+  std::size_t fired = 0;
+  TimePoint front = TimePoint::max();
+  const std::int64_t live_from = std::max(first_row_, max_seq_ + 1);
+  const std::int64_t end = first_row_ + rows_;
+  for (std::int64_t i = live_from; i < end; ++i) {
+    const std::size_t offset =
+        row_offset(static_cast<std::size_t>(i - first_row_));
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      const TimePoint due = dues_[offset + lane];
+      if (due > now) {
+        front = std::min(front, due);
+        continue;
+      }
+      if (due <= since) continue;
+      // τ_i has passed: the lane's freshness window is now [τ_i, ...).
+      freshness_index_[lane] = std::max(freshness_index_[lane], i);
+      if (obs::enabled()) obs::instruments().fd_freshness_checks_total.inc();
+      update_suspicion(lane);
+      ++fired;
+    }
   }
-}
-
-void DetectorBank::freshness_reached(std::size_t lane, std::int64_t index) {
-  // τ_index has passed: the lane's freshness window is now at least
-  // [τ_index, ...).
-  if (index > freshness_index_[lane]) freshness_index_[lane] = index;
-  if (obs::enabled()) obs::instruments().fd_freshness_checks_total.inc();
-  update_suspicion(lane);
+  if (fired > 0) {
+    ++counters_.timer_events;
+    --counters_.coalesced_timers;
+  }
+  return front;
 }
 
 void DetectorBank::handle_up(const net::Message& msg) {
@@ -265,8 +334,13 @@ void DetectorBank::observe_heartbeat(std::int64_t seq) {
   counters_.lane_updates += width();
   ++observations_;
 
+  // Heartbeat seq kills every live row with index ≤ seq; if one was in
+  // flight, the timer moves to the next live due.
+  const std::int64_t live_from = std::max(first_row_, max_seq_ + 1);
+  const bool killed = seq >= live_from && live_from < first_row_ + rows_;
   if (seq > max_seq_) max_seq_ = seq;
   for (std::size_t lane = 0; lane < width(); ++lane) update_suspicion(lane);
+  if (killed) arm_at(earliest_expiry());
 }
 
 void DetectorBank::update_suspicion(std::size_t lane) {

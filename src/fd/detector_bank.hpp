@@ -12,18 +12,21 @@
 //     forecast::SharedPredictor handle — one observe() and one real
 //     predict() evaluation per heartbeat per group;
 //   * the per-(predictor, margin) state lives in struct-of-arrays lanes
-//     (margin, freshness index, suspect flag, armed δ), updated in one
-//     pass per heartbeat;
-//   * freshness-point expiries feed one ordered timer queue per bank, with
-//     a single armed simulator event, instead of one event per detector —
-//     and one cycle-begin event per bank instead of one per detector.
+//     (margin, freshness index, suspect flag), updated in one pass per
+//     heartbeat;
+//   * freshness-point expiries live in one row per cycle in flight, and a
+//     single simulator event is armed at the earliest expiry of a cycle
+//     that still waits for its heartbeat, instead of one event per
+//     detector — and one cycle-begin event per bank instead of one per
+//     detector.
 //
 // Semantics are *identical* to N independent FreshnessDetectors: lanes are
 // independent given the shared stream, and the shared predictor state is
 // byte-identical to each lane's private copy (same observations, same
 // deterministic update). The bank-vs-legacy equivalence suite
-// (tests/exp/bank_equivalence_test.cpp) and the chaos golden CSVs pin this
-// guarantee. See docs/detector_bank.md.
+// (tests/exp/bank_equivalence_test.cpp), the chaos golden CSVs and the
+// one-event-per-expiry reference in tests/fd/freshness_oracle_test.cpp pin
+// this guarantee. See docs/detector_bank.md.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +60,9 @@ class DetectorBank : public runtime::Layer {
     std::uint64_t predictor_updates = 0;  // observe() on shared predictors
     std::uint64_t lane_updates = 0;       // per-lane margin+suspicion passes
     // Per-detector simulator events avoided by the shared cycle tick and
-    // the ordered expiry queue (legacy schedules one begin event and one
-    // freshness event per detector per cycle).
+    // the expiry rows: legacy schedules one begin event and one freshness
+    // event per detector per cycle, the bank one tick per cycle plus
+    // timer_events.
     std::uint64_t coalesced_timers = 0;
     std::uint64_t timer_events = 0;     // armed timer events actually fired
     std::uint64_t dispatch_errors = 0;  // lane updates/observers that threw
@@ -119,19 +123,21 @@ class DetectorBank : public runtime::Layer {
   // of cycle k+1 — the host's shared tick calls every member in turn.
   void host_begin_cycle(std::int64_t k);
   // host_timer_check(): called whenever a deadline this member reported
-  // comes due at the host. Pops and dispatches every due freshness point
-  // (if any — a stale entry is a no-op), then re-reports the new earliest
+  // comes due at the host. Dispatches every due live freshness point (if
+  // any — a stale entry is a no-op), then re-reports the new earliest live
   // deadline, so every consumed host-queue entry is replaced and no
   // deadline is ever lost.
   void host_timer_check();
-  // Earliest pending freshness deadline; TimePoint::max() when idle.
+  // Earliest pending live freshness deadline — the earliest τ + 1 ns of a
+  // cycle whose heartbeat has not arrived yet; TimePoint::max() when none.
   TimePoint earliest_expiry() const;
   bool started() const { return started_; }
 
   // Capacity hints for allocation-free steady state (fleet assembly sizes
-  // these from width × cycles-in-flight before the run starts).
+  // these from the width and the cycles in flight before the run starts).
   void reserve_lanes(std::size_t lanes);
-  void reserve_expiries(std::size_t n) { expiries_.reserve(n); }
+  // Room for `rows` cycles in flight (call after every lane is added).
+  void reserve_rows(std::size_t rows);
 
   std::size_t width() const { return margins_.size(); }
   std::size_t group_count() const { return groups_.size(); }
@@ -156,37 +162,21 @@ class DetectorBank : public runtime::Layer {
   std::size_t suspecting_count() const;
   const Counters& counters() const { return counters_; }
 
-  // Deadline of the single armed freshness-timer event; TimePoint::max()
-  // while no timer is armed. The obs plane renders `deadline − now` as the
-  // freshness-timer lag gauge (how far away the next possible suspicion
-  // is), so a live scrape can see a detector coasting vs. about to fire.
-  // Hosted banks have no armed event of their own; their deadline is the
-  // front of the expiry queue (the host fires at or before it).
-  TimePoint next_timer_deadline() const {
-    return host_ != nullptr ? earliest_expiry() : armed_.time();
-  }
+  // Deadline of the next freshness check that can still raise a
+  // suspicion (the earliest live expiry); TimePoint::max() when none. The
+  // obs plane renders `deadline − now` as the freshness-timer lag gauge
+  // (how far away the next possible suspicion is), so a live scrape can
+  // see a detector coasting vs. about to fire. A solo bank's armed event
+  // sits exactly here; a hosted bank's host fires at or before it.
+  TimePoint next_timer_deadline() const { return earliest_expiry(); }
 
  private:
-  struct Expiry {
-    TimePoint due;
-    std::uint64_t seq;  // push order — stable tie-break, matches the
-                        // simulator's insertion-order semantics
-    std::int64_t index;
-    std::uint32_t lane;
-  };
-  struct ExpiryAfter {
-    bool operator()(const Expiry& a, const Expiry& b) const {
-      if (a.due != b.due) return a.due > b.due;  // min-heap
-      return a.seq > b.seq;
-    }
-  };
-
   void begin_cycle(std::int64_t k);
-  void push_expiry(TimePoint due, std::int64_t index, std::size_t lane);
-  void arm_timer();
+  std::size_t row_offset(std::size_t r) const;  // of row r in dues_
+  void grow_rows(std::size_t capacity);
+  void arm_at(TimePoint front);
   void timer_fired();
-  void pop_due(TimePoint now);
-  void freshness_reached(std::size_t lane, std::int64_t index);
+  TimePoint fire_due(TimePoint now);
   void update_suspicion(std::size_t lane);
 
   sim::Simulator& simulator_;
@@ -200,29 +190,37 @@ class DetectorBank : public runtime::Layer {
   std::vector<std::string> lane_names_;
   std::vector<std::uint32_t> lane_group_;
   std::vector<std::unique_ptr<SafetyMargin>> margins_;
+  // Freshness index each lane reached through fired expiries and folded
+  // rows. A row whose dues passed while its cycle was dead is folded in at
+  // cycle begin; lane_freshness_index() counts it before that.
   std::vector<std::int64_t> freshness_index_;
   std::vector<std::uint8_t> suspecting_;
-  std::vector<double> armed_delta_ms_;  // δ used for the last armed τ
 
-  // Coalesced freshness timers: one ordered queue (a binary min-heap over
-  // a plain vector so capacity can be reserved up front — the fleet's
-  // allocation-free steady state), one armed sim event. The (due, seq)
-  // comparator totally orders entries, so heap pops are deterministic.
-  std::vector<Expiry> expiries_;
-  std::uint64_t next_expiry_seq_ = 0;
+  // Freshness expiries, one row per cycle in flight: row r holds every
+  // lane's τ_i + 1 ns for cycle i = first_row_ + r, in a ring over one
+  // flat buffer of capacity_rows_ × width() slots. A row is *live* while
+  // i > max_seq_: once a heartbeat with seq ≥ i arrives, no expiry of
+  // cycle i can raise a suspicion, so only live rows arm a timer. Live
+  // dues up to fired_through_ have fired; later ones are pending.
+  std::vector<TimePoint> dues_;
+  std::int64_t first_row_ = 1;
+  TimePoint fired_through_ = TimePoint::min();
   sim::EventHandle armed_;  // armed_.time() is the deadline; max() = idle
+  std::uint32_t head_ = 0;  // ring slot of row 0
+  std::uint32_t rows_ = 0;  // cycles in flight
+  std::uint32_t capacity_rows_ = 0;
+  bool started_ = false;
 
   // Hosted mode (see TimerHost): the host pointer, this bank's member
   // index there, and the lowest deadline reported since the last check —
-  // arm_timer() reports only when the front undercuts it, mirroring the
-  // solo "re-arm only if earlier" rule.
+  // arm_at() reports only when the front undercuts it (a host entry
+  // cannot be withdrawn; one left behind by a dead row is a no-op check).
   TimerHost* host_ = nullptr;
   std::size_t host_member_ = 0;
   TimePoint host_reported_ = TimePoint::max();
 
   std::int64_t max_seq_ = 0;
   std::size_t observations_ = 0;
-  bool started_ = false;
   Counters counters_;
 };
 

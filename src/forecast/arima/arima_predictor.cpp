@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "forecast/arima/levinson.hpp"
 #include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "stats/autocorrelation.hpp"
@@ -28,6 +29,15 @@ double replay_msqerr(ArimaModel model, std::span<const double> series,
   if (scored == 0) return std::numeric_limits<double>::infinity();
   const double msq = ss / static_cast<double>(scored);
   return std::isfinite(msq) ? msq : std::numeric_limits<double>::infinity();
+}
+
+bool coefficients_admissible(const ArimaCoefficients& coeffs) {
+  // The MA polynomial in Box–Jenkins form is 1 − Σ θ_j·z^j with
+  // θ_j = −ma_j (arima_model.hpp), so test the negated coefficients.
+  std::vector<double> theta(coeffs.ma.size());
+  std::transform(coeffs.ma.begin(), coeffs.ma.end(), theta.begin(),
+                 [](double ma) { return -ma; });
+  return is_stationary(coeffs.ar) && is_stationary(theta);
 }
 
 ArimaPredictor::ArimaPredictor(ArimaOrder order, ArimaPredictorConfig config)
@@ -71,7 +81,7 @@ void ArimaPredictor::maybe_refit() {
                         : nullptr);
   const ArmaFitResult fit = fit_arima(window, order_);
   ++refits_;
-  if (!fit.ok) {
+  if (!fit.ok || !coefficients_admissible(fit.coeffs)) {
     ++rejections_;
     if (obs::enabled()) obs::instruments().arima_refits_rejected.inc();
     return;

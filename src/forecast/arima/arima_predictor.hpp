@@ -4,7 +4,8 @@
 // scheme: coefficients are re-estimated every `refit_every` observations
 // (N_Arima = 1000 in the paper) on a sliding history window, so the model
 // tracks the changing WAN. Until the first successful fit — and whenever a
-// candidate fit validates worse than the running mean — the predictor falls
+// candidate fit is non-stationary or non-invertible, or validates worse
+// than the running mean — the predictor keeps its previous model, or falls
 // back to MEAN, which is also the paper's cold-start behaviour for
 // windowed predictors.
 #pragma once
@@ -57,6 +58,12 @@ class ArimaPredictor final : public Predictor {
   std::size_t refits_ = 0;
   std::size_t rejections_ = 0;
 };
+
+// True iff the fit's AR part is stationary and its MA part invertible.
+// A refit failing either would forecast with growing oscillations (the AR
+// recursion, or the residual feedback through the MA terms, diverges), so
+// the predictor rejects it. Exposed for tests/validation.
+bool coefficients_admissible(const ArimaCoefficients& coeffs);
 
 // One-step msqerr of `model` when primed fresh and replayed over `series`;
 // the first `warmup` points are not scored. Exposed for tests/validation.

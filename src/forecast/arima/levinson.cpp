@@ -49,4 +49,23 @@ ArFit fit_ar_yule_walker(std::span<const double> series, std::size_t p) {
   return levinson_durbin(rho, p);
 }
 
+bool is_stationary(std::span<const double> c) {
+  std::vector<double> a(c.begin(), c.end());
+  std::vector<double> lower;
+  for (std::size_t m = a.size(); m > 0; --m) {
+    // a holds the order-m coefficients; a_m is the m-th reflection
+    // coefficient, and the order-(m−1) ones follow from inverting the
+    // Levinson update a_i = a'_i − k·a'_{m−i}.
+    const double k = a[m - 1];
+    if (!(std::fabs(k) < 1.0)) return false;
+    const double scale = 1.0 - k * k;
+    lower.resize(m - 1);
+    for (std::size_t i = 0; i + 1 < m; ++i) {
+      lower[i] = (a[i] + k * a[m - 2 - i]) / scale;
+    }
+    a.swap(lower);
+  }
+  return true;
+}
+
 }  // namespace fdqos::forecast

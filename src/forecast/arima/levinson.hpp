@@ -25,4 +25,11 @@ ArFit levinson_durbin(std::span<const double> rho, std::size_t p);
 // Convenience: fit AR(p) to a series via its sample ACF.
 ArFit fit_ar_yule_walker(std::span<const double> series, std::size_t p);
 
+// Schur–Cohn step-down test: true iff every root of
+// 1 − c_1·z − … − c_n·z^n lies strictly outside the unit circle, i.e. an
+// AR recursion with coefficients c is stationary. Runs the Levinson
+// recursion backwards (coefficients → reflection coefficients) and
+// requires every |k_m| < 1. True for n = 0; false on NaN.
+bool is_stationary(std::span<const double> c);
+
 }  // namespace fdqos::forecast

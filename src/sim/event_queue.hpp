@@ -92,7 +92,7 @@ class EventHandle {
   bool pending() const;
   // Scheduled fire time of a live event; TimePoint::max() once the event
   // fired or was cancelled. Lets timer owners (e.g. the DetectorBank's
-  // coalesced expiry queue) compare an armed deadline against a new one
+  // expiry rows) compare an armed deadline against a new one
   // without mirroring the timestamp themselves.
   TimePoint time() const;
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "fd/fleet_bank.hpp"
 #include "fd/freshness_detector.hpp"
 #include "fd/suite.hpp"
 #include "forecast/basic_predictors.hpp"
@@ -156,7 +157,7 @@ TEST(DetectorBankTest, SharesPredictorEvaluationAcrossLanes) {
   EXPECT_EQ(counters.lane_updates, 30u * hb);
   EXPECT_EQ(counters.dispatch_errors, 0u);
   // 30 lanes share one cycle tick (29 saved per cycle) plus whatever the
-  // expiry queue batches; never less than the structural floor.
+  // expiry rows avoid; never less than the structural floor.
   EXPECT_GE(counters.coalesced_timers, 29u * 49u);
   for (std::size_t g = 0; g < h.bank->group_count(); ++g) {
     EXPECT_EQ(h.bank->shared_predictor(g).observe_calls(), hb);
@@ -206,6 +207,73 @@ TEST(DetectorBankTest, LaneObserverExceptionIsIsolated) {
   EXPECT_TRUE(bank.lane_suspecting(2));
   EXPECT_EQ(notified, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(bank.counters().dispatch_errors, 1u);
+}
+
+// The obs timer-lag gauge renders next_timer_deadline(): once a heartbeat
+// makes the armed freshness check pointless, the deadline must move to the
+// next check that can still raise a suspicion, and no stale timer event
+// may stay armed.
+TEST(DetectorBankTest, TimerDeadlineSkipsRowsKilledByAHeartbeat) {
+  for (const bool hosted : {false, true}) {
+    SCOPED_TRACE(hosted ? "hosted" : "solo");
+    sim::Simulator simulator;
+    FleetBank fleet(simulator, {});
+    std::unique_ptr<DetectorBank> solo;
+    DetectorBank* bank = nullptr;
+    if (hosted) {
+      bank = &fleet.add_member(0);
+    } else {
+      solo = std::make_unique<DetectorBank>(simulator, DetectorBank::Config{});
+      bank = solo.get();
+    }
+    const std::size_t g =
+        bank->add_group(std::make_unique<forecast::LastPredictor>());
+    bank->add_lane("a", g, std::make_unique<ConstantSafetyMargin>(50.0));
+    bank->add_lane("b", g, std::make_unique<ConstantSafetyMargin>(20.0));
+    if (hosted) {
+      fleet.start();
+    } else {
+      bank->start();
+    }
+    const TimePoint origin = TimePoint::origin();
+
+    // Cold start: τ_1 = σ_1 + 1 s, checked one tick later.
+    EXPECT_EQ(bank->next_timer_deadline(),
+              origin + Duration::seconds(2) + Duration::nanos(1));
+    // σ_1 begins cycle 1: τ_2 = σ_2 + 1 s joins, but τ_1 stays first.
+    simulator.run_until(origin + Duration::millis(1100));
+    EXPECT_EQ(bank->next_timer_deadline(),
+              origin + Duration::seconds(2) + Duration::nanos(1));
+
+    // Heartbeat 1 kills cycle 1's row; cycle 2's is the live front.
+    bank->observe_heartbeat(1);
+    EXPECT_EQ(bank->next_timer_deadline(),
+              origin + Duration::seconds(3) + Duration::nanos(1));
+
+    // σ_2 adds τ_3 = σ_3 + LAST (100 ms) + margin; the cold-start τ_2
+    // stays first until heartbeat 2 kills its row. A solo bank runs only
+    // its cycle tick on the way: the dead τ_1 check left no event behind.
+    const std::uint64_t executed =
+        simulator.run_until(origin + Duration::millis(2050));
+    if (!hosted) {
+      EXPECT_EQ(executed, 1u);
+    }
+    EXPECT_EQ(bank->next_timer_deadline(),
+              origin + Duration::millis(3000) + Duration::nanos(1));
+    simulator.run_until(origin + Duration::millis(2100));
+    bank->observe_heartbeat(2);
+    EXPECT_EQ(bank->next_timer_deadline(),
+              origin + Duration::millis(3120) + Duration::nanos(1));
+
+    // A heartbeat from the future kills every row in flight: nothing can
+    // raise a suspicion, so nothing is armed.
+    bank->observe_heartbeat(9);
+    EXPECT_EQ(bank->next_timer_deadline(), TimePoint::max());
+    if (!hosted) {
+      EXPECT_EQ(simulator.pending_events(), 1u);  // σ_3's tick only
+    }
+    EXPECT_EQ(bank->suspecting_count(), 0u);
+  }
 }
 
 TEST(DetectorBankTest, DefaultLaneNameComesFromComponents) {

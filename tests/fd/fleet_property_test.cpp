@@ -36,7 +36,7 @@ constexpr Duration kEta = Duration::seconds(1);
 constexpr std::size_t kCycles = 60;
 
 // Two predictor groups × six margins — wide enough to exercise group
-// sharing and the expiry heap, cheap enough to run many schedules.
+// sharing and the expiry rows, cheap enough to run many schedules.
 std::vector<FdSpec> small_suite() {
   std::vector<FdSpec> out;
   for (FdSpec& spec : make_paper_suite()) {

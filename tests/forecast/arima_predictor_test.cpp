@@ -106,6 +106,40 @@ TEST(ArimaPredictorTest, HistoryBoundDoesNotBreakPrediction) {
   EXPECT_EQ(p.observation_count(), 5000u);
 }
 
+TEST(ArimaPredictorTest, RejectsNonStationaryFit) {
+  // An explosive AR(1) path: least squares fits φ ≈ 1.05, which replays
+  // the window well but would forecast a diverging series. The predictor
+  // must refuse it and keep the MEAN fallback.
+  ArimaPredictor p(ArimaOrder{1, 0, 0}, fast_config());
+  Rng rng(34);
+  double x = 1.0;
+  for (int i = 0; i < 64; ++i) {
+    x = 1.05 * x + 0.01 * rng.normal();
+    p.observe(x);
+  }
+  EXPECT_EQ(p.refit_count(), 1u);
+  EXPECT_EQ(p.refit_rejections(), 1u);
+  EXPECT_FALSE(p.has_model());
+}
+
+TEST(CoefficientsAdmissibleTest, ChecksArStationarityAndMaInvertibility) {
+  ArimaCoefficients c;
+  c.ar = {0.5, 0.3};
+  c.ma = {0.4};
+  EXPECT_TRUE(coefficients_admissible(c));
+  c.ar = {0.7, 0.4};  // AR part has a root inside the unit circle
+  EXPECT_FALSE(coefficients_admissible(c));
+  c.ar = {0.5};
+  c.ma = {-1.2};  // θ_1 = 1.2: residual feedback diverges
+  EXPECT_FALSE(coefficients_admissible(c));
+  // ma_j = −θ_j: 1 + 0.5z + 0.6z² has roots of modulus 1.29 (invertible),
+  // while 1 − 0.5z − 0.6z² has one at 0.94 (not invertible).
+  c.ma = {0.5, 0.6};
+  EXPECT_TRUE(coefficients_admissible(c));
+  c.ma = {-0.5, -0.6};
+  EXPECT_FALSE(coefficients_admissible(c));
+}
+
 TEST(ReplayMsqerrTest, ZeroOnSelfConsistentModel) {
   // An AR(1) model replayed over its own noiseless trajectory has zero
   // one-step error.

@@ -94,5 +94,32 @@ TEST(LevinsonTest, WhiteNoiseGivesNearZeroCoefficients) {
   EXPECT_NEAR(fit.noise_variance, 1.0, 0.05);
 }
 
+TEST(StationarityTest, MatchesTheAr1AndAr2Regions) {
+  EXPECT_TRUE(is_stationary(std::vector<double>{}));
+  EXPECT_TRUE(is_stationary(std::vector<double>{0.9}));
+  EXPECT_TRUE(is_stationary(std::vector<double>{-0.9}));
+  EXPECT_FALSE(is_stationary(std::vector<double>{1.0}));    // unit root
+  EXPECT_FALSE(is_stationary(std::vector<double>{-1.05}));
+  // AR(2) triangle: φ1 + φ2 < 1, φ2 − φ1 < 1, |φ2| < 1.
+  EXPECT_TRUE(is_stationary(std::vector<double>{0.5, 0.3}));
+  EXPECT_TRUE(is_stationary(std::vector<double>{1.6, -0.8}));  // complex
+  EXPECT_FALSE(is_stationary(std::vector<double>{0.7, 0.4}));  // sum > 1
+  EXPECT_FALSE(is_stationary(std::vector<double>{-0.7, 0.4}));
+  EXPECT_FALSE(is_stationary(std::vector<double>{0.2, -1.1}));
+  EXPECT_FALSE(is_stationary(std::vector<double>{NAN}));
+}
+
+TEST(StationarityTest, AgreesWithRootsOfAFactoredAr3) {
+  // (1 − 0.5z)(1 − 0.8z)(1 + 0.9z): roots 2, 1.25, −1.11 — stationary.
+  // Swap 0.8 for 1.2 and one root (0.83) moves inside the unit circle.
+  auto expand = [](double a, double b, double c) {
+    // 1 − (a+b+c)z + (ab+ac+bc)z² − abc·z³ in the 1 − Σ c_i z^i form.
+    return std::vector<double>{a + b + c, -(a * b + a * c + b * c),
+                               a * b * c};
+  };
+  EXPECT_TRUE(is_stationary(expand(0.5, 0.8, -0.9)));
+  EXPECT_FALSE(is_stationary(expand(0.5, 1.2, -0.9)));
+}
+
 }  // namespace
 }  // namespace fdqos::forecast

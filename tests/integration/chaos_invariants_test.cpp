@@ -105,6 +105,41 @@ TEST(ChaosInvariantsTest, ChaosReportIsByteIdenticalAcrossJobs) {
   EXPECT_FALSE(serial_bytes.empty());
 }
 
+// A report whose every detector saw `crashes` crashes and resolved
+// `detections` of them, pooled over `runs` runs.
+QosReport crash_report(std::size_t runs, std::size_t endpoints,
+                       std::uint64_t crashes, std::uint64_t detections) {
+  QosReport report;
+  report.config.runs = runs;
+  report.config.endpoints = endpoints;
+  FdQosResult result;
+  result.name = "LAST+CI_low";
+  result.metrics.crashes_observed = crashes;
+  result.metrics.detections = detections;
+  report.results.push_back(result);
+  return report;
+}
+
+std::vector<std::string> crash_consistency_details(const QosReport& report) {
+  std::vector<std::string> out;
+  for (const auto& v : qos_invariant_violations(report)) {
+    if (v.invariant == "crash-consistency") out.push_back(v.detail);
+  }
+  return out;
+}
+
+TEST(ChaosInvariantsTest, EveryRunMayEndMidCrash) {
+  // Two runs, each ending with its last crash still pending: 3 resolved
+  // of 5 observed is consistent; a third pending crash is not.
+  EXPECT_TRUE(crash_consistency_details(crash_report(2, 1, 5, 3)).empty());
+  EXPECT_EQ(crash_consistency_details(crash_report(2, 1, 6, 3)).size(), 1u);
+  // More detections than crashes is never consistent.
+  EXPECT_EQ(crash_consistency_details(crash_report(2, 1, 3, 4)).size(), 1u);
+  // Fleet mode: one pending crash per endpoint per run.
+  EXPECT_TRUE(crash_consistency_details(crash_report(2, 3, 9, 3)).empty());
+  EXPECT_EQ(crash_consistency_details(crash_report(2, 3, 10, 3)).size(), 1u);
+}
+
 TEST(ChaosInvariantsTest, PartitionScenarioAccountsItsDrops) {
   const QosReport report =
       run_qos_experiment(harness_config("partition_heal", 7));

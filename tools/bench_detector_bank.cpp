@@ -8,10 +8,15 @@
 // bank's shared-predictor evaluation cuts predictor observe() calls by at
 // least 3x, and writes BENCH_detector_bank.json:
 //
-//   [{"bench": "detector_bank", "width": 30, "runs": 2, "cycles": 400,
+//   [{"bench": "detector_bank", "commit": "c9d3785", "hw_jobs": 4,
+//     "width": 30, "runs": 2, "cycles": 400,
 //     "legacy_wall_s": ..., "bank_wall_s": ..., "speedup": ...,
 //     "legacy_predictor_updates": ..., "bank_predictor_updates": ...,
-//     "update_reduction": ..., "bank_coalesced_timers": ...}, ...]
+//     "update_reduction": ..., "bank_coalesced_timers": ...,
+//     "bank_timer_events": ...}, ...]
+//
+// `commit` is `git describe --always --dirty` of the working directory
+// ("unknown" outside a checkout); `hw_jobs` the hardware threads.
 //
 // Scale knobs (reduced sweeps for CI):
 //   bench_detector_bank [--runs N] [--cycles N] [--widths W1,W2,...]
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "common/args.hpp"
+#include "exec/thread_pool.hpp"
 #include "exp/qos_experiment.hpp"
 #include "exp/report.hpp"
 #include "fd/suite.hpp"
@@ -30,6 +36,20 @@
 using namespace fdqos;
 
 namespace {
+
+std::string current_commit() {
+  std::string commit;
+  if (std::FILE* git =
+          popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[64];
+    if (std::fgets(buf, sizeof buf, git) != nullptr) commit = buf;
+    pclose(git);
+  }
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == ' ')) {
+    commit.pop_back();
+  }
+  return commit.empty() ? "unknown" : commit;
+}
 
 double wall_seconds(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -78,6 +98,7 @@ struct Entry {
   std::uint64_t legacy_updates;
   std::uint64_t bank_updates;
   std::uint64_t bank_coalesced;
+  std::uint64_t bank_timer_events;
 };
 
 }  // namespace
@@ -123,6 +144,7 @@ int main(int argc, char** argv) {
         wall_seconds([&] { bank_report = exp::run_qos_experiment(config); });
     entry.bank_updates = bank_report.bank.predictor_updates;
     entry.bank_coalesced = bank_report.bank.coalesced_timers;
+    entry.bank_timer_events = bank_report.bank.timer_events;
 
     if (exp::qos_report_fingerprint(legacy_report) !=
         exp::qos_report_fingerprint(bank_report)) {
@@ -155,24 +177,28 @@ int main(int argc, char** argv) {
     entries.push_back(entry);
   }
 
+  const std::string commit = current_commit();
+  const std::size_t hw_jobs = exec::hardware_jobs();
   std::string json = "[\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
-    char line[320];
+    char line[448];
     std::snprintf(
         line, sizeof line,
-        "  {\"bench\": \"detector_bank\", \"width\": %zu, \"runs\": %zu, "
+        "  {\"bench\": \"detector_bank\", \"commit\": \"%s\", "
+        "\"hw_jobs\": %zu, \"width\": %zu, \"runs\": %zu, "
         "\"cycles\": %lld, \"legacy_wall_s\": %.3f, \"bank_wall_s\": %.3f, "
         "\"speedup\": %.2f, \"legacy_predictor_updates\": %llu, "
         "\"bank_predictor_updates\": %llu, \"update_reduction\": %.2f, "
-        "\"bank_coalesced_timers\": %llu}%s\n",
-        e.width, runs, static_cast<long long>(cycles), e.legacy_wall_s,
-        e.bank_wall_s, e.legacy_wall_s / e.bank_wall_s,
+        "\"bank_coalesced_timers\": %llu, \"bank_timer_events\": %llu}%s\n",
+        commit.c_str(), hw_jobs, e.width, runs, static_cast<long long>(cycles),
+        e.legacy_wall_s, e.bank_wall_s, e.legacy_wall_s / e.bank_wall_s,
         static_cast<unsigned long long>(e.legacy_updates),
         static_cast<unsigned long long>(e.bank_updates),
         static_cast<double>(e.legacy_updates) /
             static_cast<double>(e.bank_updates),
         static_cast<unsigned long long>(e.bank_coalesced),
+        static_cast<unsigned long long>(e.bank_timer_events),
         i + 1 < entries.size() ? "," : "");
     json += line;
   }

@@ -172,7 +172,7 @@ SweepResult run_sweep(std::size_t endpoints, std::size_t shard_count,
       fd::DetectorBank& member =
           shard.fleet->add_member(static_cast<net::NodeId>(e));
       configure_member(member, suite);
-      member.reserve_expiries(member.width() * 2);
+      member.reserve_rows(2);
     }
     // One columnar batch per cycle: every live local endpoint's heartbeat
     // for that cycle, endpoint-ascending (the scatter order). Built ahead
