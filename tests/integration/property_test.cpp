@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -35,8 +36,8 @@ struct PropertyParam {
 };
 
 class DetectorPropertyTest
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, const char*,
-                                                 const char*>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint64_t, std::string, std::string>> {};
 
 TEST_P(DetectorPropertyTest, InvariantsHoldUnderRandomWorkload) {
   const auto [seed, pred_label, margin_label] = GetParam();
@@ -132,8 +133,17 @@ TEST_P(DetectorPropertyTest, InvariantsHoldUnderRandomWorkload) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsTimesConfigs, DetectorPropertyTest,
     ::testing::Combine(::testing::Values<std::uint64_t>(11, 23, 47),
-                       ::testing::Values("Last", "Arima", "WinMean"),
-                       ::testing::Values("CI_low", "JAC_high")));
+                       ::testing::Values(std::string{"Last"},
+                                         std::string{"Arima"},
+                                         std::string{"WinMean"}),
+                       ::testing::Values(std::string{"CI_low"},
+                                         std::string{"JAC_high"})),
+    // Labels are strings, not pointers, so the printed parameter (which
+    // ctest's test discovery puts in the test name) is stable across runs.
+    [](const auto& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
+             std::get<1>(info.param) + "_" + std::get<2>(info.param);
+    });
 
 // Pull-style detector under the same randomized workload: the analogous
 // invariants hold (trust condition on pongs, alternation, crash coverage).
