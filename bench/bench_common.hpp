@@ -8,8 +8,6 @@
 //   FDQOS_NONEWAY — accuracy-experiment length (paper: 100000)
 //   FDQOS_SEED    — experiment seed            (default 42)
 //   FDQOS_JOBS    — sweep parallelism          (default: hardware)
-//   FDQOS_ENGINE  — bank|legacy detector engine (default: bank; output is
-//                   byte-identical either way, see docs/detector_bank.md)
 #pragma once
 
 #include <algorithm>
@@ -38,17 +36,6 @@ inline exp::QosExperimentConfig qos_config_from_env() {
   config.num_cycles = static_cast<std::int64_t>(env_u64("FDQOS_CYCLES", 10000));
   config.seed = env_u64("FDQOS_SEED", 42);
   config.jobs = static_cast<std::size_t>(env_u64("FDQOS_JOBS", 0));
-  if (const char* engine = std::getenv("FDQOS_ENGINE");
-      engine != nullptr && *engine != '\0') {
-    if (std::string(engine) == "legacy") {
-      config.use_detector_bank = false;
-    } else if (std::string(engine) != "bank") {
-      std::fprintf(stderr,
-                   "[fdqos-bench] unknown FDQOS_ENGINE '%s' (want "
-                   "bank|legacy); using bank\n",
-                   engine);
-    }
-  }
   return config;
 }
 

@@ -11,7 +11,6 @@
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "faultx/scenarios.hpp"
-#include "fd/freshness_detector.hpp"
 #include "net/lp_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "obs/instruments.hpp"
@@ -172,76 +171,42 @@ RunOutput run_one(const QosExperimentConfig& config,
   for (std::size_t i = 0; i < suite.size(); ++i) {
     trackers.emplace_back(warmup_end);
   }
-  // Both engines funnel transitions through the same per-lane sink, so the
-  // tracker update sequence (and the optional probe stream) is identical.
-  auto on_transition = [&trackers, &config, run](std::size_t i, TimePoint t,
-                                                 bool suspecting) {
+
+  // The whole suite on one batched bank.
+  fd::DetectorBank::Config bank_config;
+  bank_config.eta = config.eta;
+  bank_config.monitored = kMonitored;
+  bank_config.cold_start_timeout = config.cold_start_timeout;
+  bank_config.name = "qos-bank";
+  fd::DetectorBank bank(simulator, bank_config);
+  // One predictor group per distinct non-empty predictor_key; an empty
+  // key never shares (the spec made no identical-behaviour promise).
+  std::unordered_map<std::string, std::size_t> group_by_key;
+  for (const auto& spec : suite) {
+    std::size_t group;
+    const auto it = spec.predictor_key.empty()
+                        ? group_by_key.end()
+                        : group_by_key.find(spec.predictor_key);
+    if (it != group_by_key.end()) {
+      group = it->second;
+    } else {
+      group = bank.add_group(spec.make_predictor());
+      if (!spec.predictor_key.empty()) {
+        group_by_key.emplace(spec.predictor_key, group);
+      }
+    }
+    bank.add_lane(spec.name, group, spec.make_margin());
+  }
+  bank.set_observer([&trackers, &config, run](std::size_t i, TimePoint t,
+                                              bool suspecting) {
     if (suspecting) {
       trackers[i].suspect_started(t);
     } else {
       trackers[i].suspect_ended(t);
     }
     if (config.transition_probe) config.transition_probe(run, i, t, suspecting);
-  };
-
-  std::unique_ptr<fd::DetectorBank> bank;                 // batched engine
-  std::vector<std::unique_ptr<fd::FreshnessDetector>> detectors;  // legacy
-  if (config.use_detector_bank) {
-    fd::DetectorBank::Config bank_config;
-    bank_config.eta = config.eta;
-    bank_config.monitored = kMonitored;
-    bank_config.cold_start_timeout = config.cold_start_timeout;
-    bank_config.name = "qos-bank";
-    bank = std::make_unique<fd::DetectorBank>(simulator, bank_config);
-    // One predictor group per distinct non-empty predictor_key; an empty
-    // key never shares (the spec made no identical-behaviour promise).
-    std::unordered_map<std::string, std::size_t> group_by_key;
-    for (const auto& spec : suite) {
-      std::size_t group;
-      const auto it = spec.predictor_key.empty()
-                          ? group_by_key.end()
-                          : group_by_key.find(spec.predictor_key);
-      if (it != group_by_key.end()) {
-        group = it->second;
-      } else {
-        group = bank->add_group(spec.make_predictor());
-        if (!spec.predictor_key.empty()) {
-          group_by_key.emplace(spec.predictor_key, group);
-        }
-      }
-      bank->add_lane(spec.name, group, spec.make_margin());
-    }
-    bank->set_observer(
-        [&on_transition](std::size_t lane, TimePoint t, bool suspecting) {
-          on_transition(lane, t, suspecting);
-        });
-    monitor.attach_unowned(mux, *bank);
-  } else {
-    detectors.reserve(suite.size());
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-      fd::FreshnessDetector::Config fd_config;
-      fd_config.eta = config.eta;
-      fd_config.monitored = kMonitored;
-      fd_config.cold_start_timeout = config.cold_start_timeout;
-      fd_config.name = suite[i].name;
-      auto detector = std::make_unique<fd::FreshnessDetector>(
-          simulator, fd_config, suite[i].make_predictor(),
-          suite[i].make_margin());
-      detector->set_observer([&on_transition, i](TimePoint t, bool suspecting) {
-        on_transition(i, t, suspecting);
-      });
-      monitor.attach_unowned(mux, *detector);
-      detectors.push_back(std::move(detector));
-    }
-  }
-  auto suspecting_count = [&bank, &detectors]() {
-    if (bank != nullptr) return bank->suspecting_count();
-    std::size_t n = 0;
-    for (const auto& d : detectors) {
-      if (d->suspecting()) ++n;
-    }
-    return n;
-  };
+  });
+  monitor.attach_unowned(mux, bank);
 
   crash_layer.set_observer([&trackers, &config, run](TimePoint t,
                                                      bool crashed) {
@@ -271,7 +236,7 @@ RunOutput run_one(const QosExperimentConfig& config,
       // A tick that loses the race simply skips this line; another run's
       // tick just emitted one.
       if (lock.owns_lock() && progress->emitter.due()) {
-        const std::size_t suspecting = suspecting_count();
+        const std::size_t suspecting = bank.suspecting_count();
         const std::size_t started =
             progress->runs_started.load(std::memory_order_relaxed);
         const std::size_t done =
@@ -287,13 +252,8 @@ RunOutput run_one(const QosExperimentConfig& config,
           // publishes its lane states wholesale and stamps source_run.
           for (std::size_t i = 0; i < progress->lanes.size(); ++i) {
             const LaneGauges& g = progress->lanes[i];
-            const bool susp = bank != nullptr ? bank->lane_suspecting(i)
-                                              : detectors[i]->suspecting();
-            const double delta = bank != nullptr
-                                     ? bank->lane_delta_ms(i)
-                                     : detectors[i]->current_delta_ms();
-            g.suspect->set(susp ? 1.0 : 0.0);
-            g.timeout_ms->set(delta);
+            g.suspect->set(bank.lane_suspecting(i) ? 1.0 : 0.0);
+            g.timeout_ms->set(bank.lane_delta_ms(i));
             g.mistakes->set(static_cast<double>(trackers[i].tm_stats().count()));
             g.detections->set(
                 static_cast<double>(trackers[i].detection_count()));
@@ -304,14 +264,7 @@ RunOutput run_one(const QosExperimentConfig& config,
             progress->source_run->set(static_cast<double>(run));
           }
           if (progress->timer_lag_ms != nullptr) {
-            TimePoint deadline = TimePoint::max();
-            if (bank != nullptr) {
-              deadline = bank->next_timer_deadline();
-            } else {
-              for (const auto& d : detectors) {
-                deadline = std::min(deadline, d->next_timer_deadline());
-              }
-            }
+            const TimePoint deadline = bank.next_timer_deadline();
             progress->timer_lag_ms->set(
                 deadline == TimePoint::max()
                     ? std::numeric_limits<double>::quiet_NaN()
@@ -364,11 +317,7 @@ RunOutput run_one(const QosExperimentConfig& config,
   out.hb_sent = hb_stats.sent;
   out.hb_delivered = hb_stats.delivered;
   if (chaos_net.has_value()) out.chaos = chaos_net->stats();
-  if (bank != nullptr) {
-    out.bank = bank->counters();
-  } else {
-    for (const auto& d : detectors) out.bank.add(d->counters());
-  }
+  out.bank = bank.counters();
   out.trackers = std::move(trackers);
 
   if (progress != nullptr) {
@@ -527,28 +476,21 @@ RunOutput run_one_lp(const QosExperimentConfig& config,
 
   // Partition the suite, predictor groups kept whole (a shared predictor
   // must see one arrival stream on one LP). Group ids replicate run_one's
-  // first-seen-key order; the legacy engine shares nothing, so every lane
-  // is its own group.
+  // first-seen-key order; a lane with an empty key is its own group.
   std::vector<std::size_t> group_of(suite.size());
   std::vector<std::size_t> group_lanes;
-  if (config.use_detector_bank) {
-    std::unordered_map<std::string, std::size_t> group_by_key;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-      const auto& key = suite[i].predictor_key;
-      const auto it =
-          key.empty() ? group_by_key.end() : group_by_key.find(key);
-      if (it != group_by_key.end()) {
-        group_of[i] = it->second;
-      } else {
-        group_of[i] = group_lanes.size();
-        group_lanes.push_back(0);
-        if (!key.empty()) group_by_key.emplace(key, group_of[i]);
-      }
-      ++group_lanes[group_of[i]];
+  std::unordered_map<std::string, std::size_t> group_by_key;
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const auto& key = suite[i].predictor_key;
+    const auto it = key.empty() ? group_by_key.end() : group_by_key.find(key);
+    if (it != group_by_key.end()) {
+      group_of[i] = it->second;
+    } else {
+      group_of[i] = group_lanes.size();
+      group_lanes.push_back(0);
+      if (!key.empty()) group_by_key.emplace(key, group_of[i]);
     }
-  } else {
-    group_lanes.assign(suite.size(), 1);
-    for (std::size_t i = 0; i < suite.size(); ++i) group_of[i] = i;
+    ++group_lanes[group_of[i]];
   }
   // More shards than predictor groups would leave some with a zero-lane
   // bank (DetectorBank requires width > 0): cap the shard count at the
@@ -563,7 +505,6 @@ RunOutput run_one_lp(const QosExperimentConfig& config,
     std::unique_ptr<runtime::ProcessNode> node;
     runtime::MultiPlexerLayer* mux = nullptr;  // owned by node
     std::unique_ptr<fd::DetectorBank> bank;
-    std::vector<std::unique_ptr<fd::FreshnessDetector>> detectors;  // legacy
     std::vector<std::size_t> local_to_global;  // bank lane → suite index
     std::vector<TransitionRecord> transitions;
   };
@@ -583,99 +524,58 @@ RunOutput run_one_lp(const QosExperimentConfig& config,
         &shard.node->push(std::make_unique<runtime::MultiPlexerLayer>());
 
     Shard* sp = &shard;
-    if (config.use_detector_bank) {
-      fd::DetectorBank::Config bank_config;
-      bank_config.eta = config.eta;
-      bank_config.monitored = kMonitored;
-      bank_config.cold_start_timeout = config.cold_start_timeout;
-      bank_config.name = "qos-bank";
-      shard.bank =
-          std::make_unique<fd::DetectorBank>(psim.lp(shard_lp(s)), bank_config);
-      // Suite order within the shard: the first lane of a group here is
-      // also the group's globally-first spec (groups are never split), so
-      // predictor construction matches run_one exactly.
-      std::unordered_map<std::size_t, std::size_t> local_group;
-      for (std::size_t i = 0; i < suite.size(); ++i) {
-        if (shard_of_group[group_of[i]] != s) continue;
-        std::size_t lg;
-        const auto it = local_group.find(group_of[i]);
-        if (it != local_group.end()) {
-          lg = it->second;
-        } else {
-          lg = shard.bank->add_group(suite[i].make_predictor());
-          local_group.emplace(group_of[i], lg);
-        }
-        shard.bank->add_lane(suite[i].name, lg, suite[i].make_margin());
-        shard.local_to_global.push_back(i);
-      }
-      if (single_lp) {
-        shard.bank->set_observer([sp, &trackers, &config, run,
-                                  &suspecting_now](std::size_t lane,
-                                                   TimePoint t, bool susp) {
-          const std::size_t i = sp->local_to_global[lane];
-          if (susp) {
-            trackers[i].suspect_started(t);
-            suspecting_now.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            trackers[i].suspect_ended(t);
-            suspecting_now.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (config.transition_probe) {
-            config.transition_probe(run, i, t, susp);
-          }
-        });
+    fd::DetectorBank::Config bank_config;
+    bank_config.eta = config.eta;
+    bank_config.monitored = kMonitored;
+    bank_config.cold_start_timeout = config.cold_start_timeout;
+    bank_config.name = "qos-bank";
+    shard.bank =
+        std::make_unique<fd::DetectorBank>(psim.lp(shard_lp(s)), bank_config);
+    // Suite order within the shard: the first lane of a group here is
+    // also the group's globally-first spec (groups are never split), so
+    // predictor construction matches run_one exactly.
+    std::unordered_map<std::size_t, std::size_t> local_group;
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      if (shard_of_group[group_of[i]] != s) continue;
+      std::size_t lg;
+      const auto it = local_group.find(group_of[i]);
+      if (it != local_group.end()) {
+        lg = it->second;
       } else {
-        shard.bank->set_observer(
-            [sp, &suspecting_now](std::size_t lane, TimePoint t, bool susp) {
-              sp->transitions.push_back({sp->local_to_global[lane], t, susp});
-              if (susp) {
-                suspecting_now.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                suspecting_now.fetch_sub(1, std::memory_order_relaxed);
-              }
-            });
+        lg = shard.bank->add_group(suite[i].make_predictor());
+        local_group.emplace(group_of[i], lg);
       }
-      shard.node->attach_unowned(*shard.mux, *shard.bank);
+      shard.bank->add_lane(suite[i].name, lg, suite[i].make_margin());
+      shard.local_to_global.push_back(i);
+    }
+    if (single_lp) {
+      shard.bank->set_observer([sp, &trackers, &config, run,
+                                &suspecting_now](std::size_t lane,
+                                                 TimePoint t, bool susp) {
+        const std::size_t i = sp->local_to_global[lane];
+        if (susp) {
+          trackers[i].suspect_started(t);
+          suspecting_now.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          trackers[i].suspect_ended(t);
+          suspecting_now.fetch_sub(1, std::memory_order_relaxed);
+        }
+        if (config.transition_probe) {
+          config.transition_probe(run, i, t, susp);
+        }
+      });
     } else {
-      for (std::size_t i = 0; i < suite.size(); ++i) {
-        if (shard_of_group[group_of[i]] != s) continue;
-        fd::FreshnessDetector::Config fd_config;
-        fd_config.eta = config.eta;
-        fd_config.monitored = kMonitored;
-        fd_config.cold_start_timeout = config.cold_start_timeout;
-        fd_config.name = suite[i].name;
-        auto detector = std::make_unique<fd::FreshnessDetector>(
-            psim.lp(shard_lp(s)), fd_config, suite[i].make_predictor(),
-            suite[i].make_margin());
-        if (single_lp) {
-          detector->set_observer([&trackers, &config, run, i,
-                                  &suspecting_now](TimePoint t, bool susp) {
+      shard.bank->set_observer(
+          [sp, &suspecting_now](std::size_t lane, TimePoint t, bool susp) {
+            sp->transitions.push_back({sp->local_to_global[lane], t, susp});
             if (susp) {
-              trackers[i].suspect_started(t);
               suspecting_now.fetch_add(1, std::memory_order_relaxed);
             } else {
-              trackers[i].suspect_ended(t);
               suspecting_now.fetch_sub(1, std::memory_order_relaxed);
             }
-            if (config.transition_probe) {
-              config.transition_probe(run, i, t, susp);
-            }
           });
-        } else {
-          detector->set_observer(
-              [sp, i, &suspecting_now](TimePoint t, bool susp) {
-                sp->transitions.push_back({i, t, susp});
-                if (susp) {
-                  suspecting_now.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                  suspecting_now.fetch_sub(1, std::memory_order_relaxed);
-                }
-              });
-        }
-        shard.node->attach_unowned(*shard.mux, *detector);
-        shard.detectors.push_back(std::move(detector));
-      }
     }
+    shard.node->attach_unowned(*shard.mux, *shard.bank);
   }
 
   // The one cross-LP channel: heartbeat delivery. Its lookahead is the
@@ -803,10 +703,7 @@ RunOutput run_one_lp(const QosExperimentConfig& config,
   out.hb_sent = hb_stats.sent;
   out.hb_delivered = hb_stats.delivered;
   if (chaos_net.has_value()) out.chaos = chaos_net->stats();
-  for (const auto& shard : shards) {
-    if (shard.bank != nullptr) out.bank.add(shard.bank->counters());
-    for (const auto& d : shard.detectors) out.bank.add(d->counters());
-  }
+  for (const auto& shard : shards) out.bank.add(shard.bank->counters());
   out.sim = psim.stats();
   out.trackers = std::move(trackers);
 
@@ -826,13 +723,13 @@ RunOutput run_one_lp(const QosExperimentConfig& config,
 //
 // `endpoints` independent monitored processes, each with its own link,
 // crash injector and full detector suite, sharded into contiguous blocks.
-// Each (run, shard) unit owns one simulator (one LP under kLp), one
-// FleetBank and the block's endpoint stacks. Endpoint e's whole stochastic
+// Each (run, shard) unit owns one simulator, one FleetBank and the
+// block's endpoint stacks. Endpoint e's whole stochastic
 // tree forks from fleet_endpoint_seed(seed, e) with the same fork names as
 // run_one, and every endpoint uses the local node-id pair (0, 1) on its
 // own transport — so endpoint e of any fleet run is bit-for-bit a
 // standalone run seeded with its fleet seed, regardless of M, the shard
-// count, jobs or engine. The equivalence suite (`ctest -L fleet`) pins it.
+// count or jobs. The equivalence suite (`ctest -L fleet`) pins it.
 
 namespace {
 
@@ -1090,41 +987,6 @@ FleetShardOutput run_fleet_shard(
   }
   simulator.run_until(run_end);
   return drain_fleet_shard(ctx, run_end);
-}
-
-std::vector<FleetShardOutput> run_fleet_run_lp(
-    const QosExperimentConfig& config, const std::vector<fd::FdSpec>& suite,
-    const std::shared_ptr<const std::vector<Duration>>& trace,
-    const std::shared_ptr<const faultx::FaultSchedule>& faults,
-    std::size_t run, std::size_t shards, TimePoint run_end,
-    ProgressState* progress, std::size_t lp_jobs) {
-  sim::ParallelSimulator::Options po;
-  po.lps = shards;
-  po.jobs = lp_jobs;
-  po.max_window = Duration::zero();
-  po.roles.assign(shards, "fleet");
-  sim::ParallelSimulator psim(std::move(po));
-
-  std::vector<FleetShardContext> ctxs(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    build_fleet_shard(psim.lp(s), config, suite, trace, faults, run,
-                      fleet_shard_begin(config.endpoints, shards, s),
-                      fleet_shard_begin(config.endpoints, shards, s + 1),
-                      ctxs[s]);
-  }
-  if (progress != nullptr) {
-    install_fleet_progress(config, progress, ctxs[0], psim.lp(0), run,
-                           suite.size(), 0);
-  }
-  psim.run_until(run_end);
-
-  std::vector<FleetShardOutput> outs;
-  outs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    outs.push_back(drain_fleet_shard(ctxs[s], run_end));
-  }
-  outs[0].sim = psim.stats();
-  return outs;
 }
 
 }  // namespace fdqos::exp::detail

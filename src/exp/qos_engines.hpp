@@ -111,7 +111,6 @@ struct FleetShardOutput {
   faultx::FaultyTransport::Stats chaos;  // summed over the block
   fd::DetectorBank::Counters bank;       // summed member counters
   fd::FleetBank::Counters fleet;         // shard-level engine counters
-  sim::ParallelSimulator::Stats sim;     // shard 0 of a kLp run only
 };
 
 // One self-contained seeded simulation (paper run), sequential engine.
@@ -135,21 +134,12 @@ RunOutput run_one_lp(const QosExperimentConfig& config,
 std::size_t fleet_shard_begin(std::size_t endpoints, std::size_t shards,
                               std::size_t s);
 
-// One (run, shard) fleet unit under the sequential engine.
+// One (run, shard) fleet unit.
 FleetShardOutput run_fleet_shard(
     const QosExperimentConfig& config, const std::vector<fd::FdSpec>& suite,
     const std::shared_ptr<const std::vector<Duration>>& trace,
     const std::shared_ptr<const faultx::FaultSchedule>& faults,
     std::size_t run, std::size_t shards, std::size_t shard, TimePoint run_end,
     ProgressState* progress);
-
-// One whole fleet run under the LP engine: endpoint shards map 1:1 onto
-// LPs of one conservative parallel simulator.
-std::vector<FleetShardOutput> run_fleet_run_lp(
-    const QosExperimentConfig& config, const std::vector<fd::FdSpec>& suite,
-    const std::shared_ptr<const std::vector<Duration>>& trace,
-    const std::shared_ptr<const faultx::FaultSchedule>& faults,
-    std::size_t run, std::size_t shards, TimePoint run_end,
-    ProgressState* progress, std::size_t lp_jobs);
 
 }  // namespace fdqos::exp::detail

@@ -5,13 +5,11 @@
 //   Monitored node:  Heartbeater(η) → SimCrash(MTTC, TTR) → network
 //   Monitor node:    network → MultiPlexer → DetectorBank (30 lanes)
 //
-// Every detector lane receives the identical arrival stream; by default the
-// whole suite runs on one batched fd::DetectorBank that evaluates each
-// distinct predictor once per heartbeat (use_detector_bank = false restores
-// one FreshnessDetector per spec — same report bytes, more work). A
-// QosTracker per lane consumes its suspect transitions plus the injector's
-// crash/restore ground truth. Results pool the T_D, T_M and T_MR samples
-// across the configured number of runs.
+// Every detector lane receives the identical arrival stream; the whole
+// suite runs on one batched fd::DetectorBank that evaluates each distinct
+// predictor once per heartbeat. A QosTracker per lane consumes its suspect
+// transitions plus the injector's crash/restore ground truth. Results pool
+// the T_D, T_M and T_MR samples across the configured number of runs.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +55,9 @@ struct QosExperimentConfig {
   std::string trace_path;
   // What replay does at trace end. kTruncate (default) ends the experiment
   // with the trace: num_cycles is clamped to the trace length so every run
-  // replays a prefix and never re-reads a sample. kWrap restores the old
-  // loop-the-trace behaviour; kExtend resamples the tail from a model
-  // fitted to the recorded delays. Ignored when trace_path is empty.
+  // replays a prefix and never re-reads a sample. kExtend resamples the
+  // tail from a model fitted to the recorded delays. Ignored when
+  // trace_path is empty.
   wan::ReplayPolicy replay_policy = wan::ReplayPolicy::kTruncate;
   // When set, every run records the delay stream its link actually
   // produced — with chaos active this is the *faulted* stream, so a chaos
@@ -110,14 +108,6 @@ struct QosExperimentConfig {
   // warmup end and run horizon). Empty = nominal network.
   // See docs/fault_injection.md.
   std::string chaos_scenario;
-  // Execution engine. true (default): the whole suite runs on one batched
-  // fd::DetectorBank per run — each distinct predictor (grouped by
-  // FdSpec::predictor_key) is evaluated once per heartbeat and the
-  // freshness timers are coalesced. false: one FreshnessDetector per spec
-  // (the legacy layout), kept for the bank-vs-legacy equivalence suite and
-  // the overhead benches. Both engines produce byte-identical reports; see
-  // docs/detector_bank.md.
-  bool use_detector_bank = true;
   // Simulation engine (see SimEngine above). Under kLp each run is split
   // into `lps` logical processes: LP0 owns the sender stack (heartbeater,
   // crash injector, fault wrappers, link RNG draws) and LPs 1..lps-1 each
@@ -133,11 +123,10 @@ struct QosExperimentConfig {
   // over `fleet_shards` fd::FleetBank shards (contiguous endpoint blocks).
   // Endpoint e's stochastic streams derive from fleet_endpoint_seed(seed,
   // e), and endpoint 0's seed IS the experiment seed — so endpoints = 1
-  // runs the exact legacy single-endpoint path with byte-identical reports
-  // at every jobs/lps value. Fleet mode requires the bank engine and no
-  // record_hub. Under SimEngine::kLp each endpoint shard becomes one LP
-  // (`lps` is ignored; shards are fully independent, so there are no
-  // cross-LP channels at all).
+  // runs the exact single-endpoint path with byte-identical reports
+  // at every jobs value. Fleet mode requires SimEngine::kSeq and no
+  // record_hub: the (run, shard) units already run in parallel under
+  // `jobs`.
   std::size_t endpoints = 1;
   // 0 = min(endpoints, exec::default_jobs()); always clamped to endpoints.
   std::size_t fleet_shards = 0;
@@ -188,9 +177,8 @@ struct QosReport {
   std::uint64_t chaos_fault_events = 0;  // scheduled events per run
   std::uint64_t chaos_dropped = 0;       // eaten by partitions/flaps
   std::uint64_t chaos_duplicated = 0;    // extra copies injected
-  // Detector-engine counters summed over runs (legacy runs sum the per-
-  // wrapper 1-wide banks, so predictor_updates directly compares sharing:
-  // 30 per heartbeat legacy vs 5 per heartbeat banked on the paper suite).
+  // Detector-engine counters summed over runs (on the paper suite:
+  // 5 predictor_updates and 30 lane_updates per heartbeat).
   // Not part of any report table — flushed into the fdqos::obs registry.
   fd::DetectorBank::Counters bank;
   // Parallel-engine coordinator counters summed over runs (all zero under

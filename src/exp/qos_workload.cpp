@@ -39,14 +39,16 @@ void QosWorkload::prepare() {
 
   fleet_mode_ = config_.endpoints > 1 || config_.force_fleet_engine;
   if (fleet_mode_) {
-    // Fleet runs route every endpoint's suite through fd::FleetBank
-    // members — there is no legacy-engine fleet — and the recording hub
-    // shards by run index only, so M endpoint streams would collide.
-    if (!config_.use_detector_bank) {
+    // Fleet runs execute as the (run, shard) grid on the sequential
+    // engine — their shards are already independent units — and the
+    // recording hub shards by run index only, so M endpoint streams would
+    // collide.
+    if (config_.sim_engine == SimEngine::kLp) {
       std::fprintf(stderr,
-                   "fdqos: fleet mode (--endpoints > 1) requires the bank "
-                   "engine\n");
-      FDQOS_REQUIRE(!"fleet mode requires the detector bank engine");
+                   "fdqos: --sim-engine lp does not run fleets (--endpoints "
+                   "> 1); fleet shards already run in parallel under "
+                   "--jobs\n");
+      FDQOS_REQUIRE(!"fleet mode requires the sequential simulation engine");
     }
     if (config_.record_hub != nullptr) {
       std::fprintf(stderr,
@@ -272,17 +274,14 @@ void QosWorkload::prepare() {
 }
 
 std::size_t QosWorkload::unit_count() const {
-  if (fleet_mode_ && config_.sim_engine != SimEngine::kLp) {
-    return config_.runs * shards_;
-  }
-  return config_.runs;
+  return fleet_mode_ ? config_.runs * shards_ : config_.runs;
 }
 
 void QosWorkload::begin(std::size_t jobs) {
   // LP workers nest inside the harness's unit workers; auto mode splits
   // the hardware between the two levels so lp_jobs × jobs ≈ default_jobs().
   if (config_.sim_engine == SimEngine::kLp) {
-    if (!fleet_mode_) FDQOS_REQUIRE(config_.lps > 0);
+    FDQOS_REQUIRE(config_.lps > 0);
     lp_jobs_ = config_.lp_jobs != 0
                    ? config_.lp_jobs
                    : std::max<std::size_t>(1, exec::default_jobs() / jobs);
@@ -301,39 +300,24 @@ void QosWorkload::run_unit(std::size_t unit) {
     return;
   }
 
-  auto shard_done = [this](std::size_t run, const FleetShardOutput& out) {
-    if (progress_ == nullptr) return;
-    std::uint64_t crashes = 0;
-    for (const std::uint64_t c : out.crash_count) crashes += c;
-    progress_->crashes_done.fetch_add(crashes, std::memory_order_relaxed);
-    if (shards_left_[run].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      progress_->runs_done.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  if (config_.sim_engine == SimEngine::kLp) {
-    // One unit per run; the run's shards execute as LPs of one parallel
-    // simulator with lp_jobs_ workers.
-    const std::size_t run = unit;
-    if (progress_ != nullptr) {
-      progress_->runs_started.fetch_add(1, std::memory_order_relaxed);
-    }
-    fleet_outputs_[run] =
-        detail::run_fleet_run_lp(config_, suite_, trace_, faults_, run,
-                                 shards_, run_end_, progress_.get(), lp_jobs_);
-    for (const auto& out : fleet_outputs_[run]) shard_done(run, out);
-  } else {
-    // Flattened (run, shard) grid: every unit is an independent seeded
-    // simulation, reduced in fixed order afterwards.
-    const std::size_t run = unit / shards_;
-    const std::size_t shard = unit % shards_;
-    if (progress_ != nullptr && shard == 0) {
-      progress_->runs_started.fetch_add(1, std::memory_order_relaxed);
-    }
-    fleet_outputs_[run][shard] =
-        detail::run_fleet_shard(config_, suite_, trace_, faults_, run, shards_,
-                                shard, run_end_, progress_.get());
-    shard_done(run, fleet_outputs_[run][shard]);
+  // Flattened (run, shard) grid: every unit is an independent seeded
+  // simulation, reduced in fixed order afterwards.
+  const std::size_t run = unit / shards_;
+  const std::size_t shard = unit % shards_;
+  if (progress_ != nullptr && shard == 0) {
+    progress_->runs_started.fetch_add(1, std::memory_order_relaxed);
+  }
+  fleet_outputs_[run][shard] =
+      detail::run_fleet_shard(config_, suite_, trace_, faults_, run, shards_,
+                              shard, run_end_, progress_.get());
+  if (progress_ == nullptr) return;
+  std::uint64_t crashes = 0;
+  for (const std::uint64_t c : fleet_outputs_[run][shard].crash_count) {
+    crashes += c;
+  }
+  progress_->crashes_done.fetch_add(crashes, std::memory_order_relaxed);
+  if (shards_left_[run].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    progress_->runs_done.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -396,15 +380,6 @@ void QosWorkload::reduce_fleet() {
       }
       report_.bank.add(out.bank);
       report_.fleet.add(out.fleet);
-      report_.sim_rounds += out.sim.rounds;
-      report_.sim_stalls += out.sim.stalls;
-      report_.sim_cross_lp_messages += out.sim.cross_lp_messages;
-      if (out.sim.rounds > 0) {
-        report_.sim_last_window_ms =
-            out.sim.last_window == Duration::max()
-                ? std::numeric_limits<double>::infinity()
-                : out.sim.last_window.to_millis_double();
-      }
       if (faults_ != nullptr) {
         report_.chaos_dropped += out.chaos.fault_dropped;
         report_.chaos_duplicated += out.chaos.duplicated;

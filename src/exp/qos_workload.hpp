@@ -7,13 +7,11 @@
 // QosReport. The per-unit simulation drivers live in exp/qos_engines.hpp.
 //
 // Unit mapping (unit_count() and run_unit(u)):
-//   non-fleet            one unit per run; seq or LP engine per config.
-//   fleet, SimEngine::kSeq   the flattened (run, shard) grid —
-//                            run = u / shards, shard = u % shards.
-//   fleet, SimEngine::kLp    one unit per run; the run's shards execute
-//                            as LPs of one parallel simulator.
-// All three reproduce the exact pool shapes (and therefore the jobs
-// clamp) the pre-refactor run loops used, so reports stay byte-identical.
+//   non-fleet   one unit per run; seq or LP engine per config.
+//   fleet       the flattened (run, shard) grid —
+//               run = u / shards, shard = u % shards (seq engine only).
+// Both reproduce the exact pool shapes (and therefore the jobs clamp) the
+// pre-refactor run loops used, so reports stay byte-identical.
 //
 // Application workloads (workload/leader_election.hpp) embed a QosWorkload
 // and delegate these hooks, tapping the detector transition / crash ground

@@ -205,10 +205,7 @@ std::string qos_config_summary(const QosExperimentConfig& config) {
             " policy=" + wan::replay_policy_name(config.replay_policy);
   }
   if (!config.chaos_scenario.empty()) line += " chaos=" + config.chaos_scenario;
-  // The bank is the default engine; only the opt-out is worth a mention
-  // (and the default summary bytes stay exactly as before the refactor).
-  if (!config.use_detector_bank) line += " engine=legacy";
-  // Same rule for the simulation engine: seq is the default, silent.
+  // The simulation engine is echoed only off its default (seq is silent).
   if (config.sim_engine == SimEngine::kLp) {
     line += " sim=lp lps=" + std::to_string(config.lps);
   }

@@ -499,7 +499,6 @@ std::unique_ptr<DelayModel> RecordingDelay::make_fresh() const {
 const char* replay_policy_name(ReplayPolicy policy) {
   switch (policy) {
     case ReplayPolicy::kTruncate: return "truncate";
-    case ReplayPolicy::kWrap: return "wrap";
     case ReplayPolicy::kExtend: return "extend";
   }
   return "?";
@@ -507,7 +506,6 @@ const char* replay_policy_name(ReplayPolicy policy) {
 
 std::optional<ReplayPolicy> parse_replay_policy(const std::string& text) {
   if (text == "truncate") return ReplayPolicy::kTruncate;
-  if (text == "wrap") return ReplayPolicy::kWrap;
   if (text == "extend") return ReplayPolicy::kExtend;
   return std::nullopt;
 }
@@ -599,19 +597,11 @@ Duration TraceReplayDelay::sample(Rng& rng, TimePoint) {
           FDQOS_LOG_ERROR(
               "trace replay overran %zu samples under policy=truncate; "
               "repeating the final delay (clamp the experiment to the "
-              "trace length, or replay with wrap/extend)",
+              "trace length, or replay with extend)",
               delays_->size());
           warned_end_ = true;
         }
         return delays_->back();
-      case ReplayPolicy::kWrap:
-        if (!warned_end_) {
-          FDQOS_LOG_WARN("trace replay wrapped after %zu samples",
-                         delays_->size());
-          warned_end_ = true;
-        }
-        next_ = 0;
-        break;
       case ReplayPolicy::kExtend:
         ++extended_;
         return tail_.sample(rng);

@@ -16,9 +16,8 @@
 //    experiment runs never share mutable state; shards merge in
 //    deterministic key order afterwards.
 //  * ReplayPolicy — what TraceReplayDelay does at trace end: `truncate`
-//    (the experiment must not outrun the trace), `wrap` (loop, the old
-//    behaviour, now explicit opt-in) or `extend` (resample the tail from a
-//    model fitted to the recorded delays).
+//    (the experiment must not outrun the trace) or `extend` (resample the
+//    tail from a model fitted to the recorded delays).
 //
 // See docs/tracestore.md for the format specification and the
 // `fdqos record` / `fdqos replay` CLI walkthrough.
@@ -257,12 +256,11 @@ class RecordingDelay final : public DelayModel {
 enum class ReplayPolicy {
   kTruncate,  // the experiment ends with the trace; sampling past the end
               // is an overrun (counted, logged once, last delay repeated)
-  kWrap,      // loop back to the start (legacy behaviour, explicit opt-in)
   kExtend,    // resample the tail from a model fitted to the trace
 };
 
 const char* replay_policy_name(ReplayPolicy policy);
-// Parses "truncate" / "wrap" / "extend"; nullopt on anything else.
+// Parses "truncate" / "extend"; nullopt on anything else.
 std::optional<ReplayPolicy> parse_replay_policy(const std::string& text);
 
 // Tail model for ReplayPolicy::kExtend: shifted log-normal fitted by the
@@ -285,18 +283,19 @@ TraceTailModel fit_trace_tail(const std::vector<Duration>& delays);
 class TraceReplayDelay final : public DelayModel {
  public:
   explicit TraceReplayDelay(std::vector<Duration> delays,
-                            ReplayPolicy policy = ReplayPolicy::kWrap);
+                            ReplayPolicy policy = ReplayPolicy::kTruncate);
   // Replays shared immutable trace data without copying it. Several
   // replayers (e.g. one per concurrent experiment run) can share one
   // loaded trace; the replay cursor is per-instance.
   explicit TraceReplayDelay(
       std::shared_ptr<const std::vector<Duration>> delays,
-      ReplayPolicy policy = ReplayPolicy::kWrap);
+      ReplayPolicy policy = ReplayPolicy::kTruncate);
 
   // Loads a trace file (.fdt or CSV). Returns nullptr on failure; the
   // richer error comes from load_trace().
   static std::unique_ptr<TraceReplayDelay> load(
-      const std::string& path, ReplayPolicy policy = ReplayPolicy::kWrap);
+      const std::string& path,
+      ReplayPolicy policy = ReplayPolicy::kTruncate);
   // Loads just the delay column, for sharing across many replayers.
   // Returns nullptr on I/O or parse failure.
   static std::shared_ptr<const std::vector<Duration>> load_trace_data(

@@ -1,15 +1,22 @@
-// Bank-vs-legacy equivalence property: the batched DetectorBank engine and
-// N independent FreshnessDetectors must be observably identical — same
-// suspect-transition streams per (run, detector), same pooled QoS metrics
-// (compared through the full rendered report) — on the complete 30-detector
-// paper suite, under the nominal link and under fault injection, at every
-// jobs value. This is the refactor's load-bearing guarantee; the chaos
-// golden CSVs pin the same property against a fixed historical output.
+// Bank-vs-legacy equivalence, pinned: the batched DetectorBank engine must
+// stay observably identical to the retired one-FreshnessDetector-per-spec
+// layout — same suspect-transition streams per (run, detector), same
+// pooled QoS metrics (compared through the full rendered report) — on the
+// complete 30-detector paper suite, under the nominal link and under fault
+// injection, at every jobs value.
+//
+// The constants below were recorded while both engines still existed and
+// agreed on every case: FNV-1a-64 of the report fingerprint and of the
+// per-(run, lane) transition streams. The bank now has to reproduce them
+// alone. The chaos golden CSVs pin the same property at other scales, and
+// tests/fd/freshness_oracle_test.cpp checks the bank's semantics against
+// an independent reference detector.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -56,6 +63,49 @@ struct Capture {
   }
 };
 
+// 64-bit FNV-1a, fed whole 8-byte little-endian words for integers.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::string& bytes) {
+    for (const unsigned char c : bytes) {
+      hash_ ^= c;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t fingerprint_digest(const QosReport& report) {
+  Fnv1a h;
+  h.add(qos_report_fingerprint(report));
+  return h.value();
+}
+
+// Digest of the per-(run, lane) streams in (run, lane) order: each lane
+// contributes its key, its length and every (t_ns, suspect) event.
+std::uint64_t stream_digest(const Capture& capture) {
+  Fnv1a h;
+  for (const auto& [key, stream] : capture.by_lane()) {
+    h.add(key.first);
+    h.add(key.second);
+    h.add(stream.size());
+    for (const Event& e : stream) {
+      h.add(static_cast<std::uint64_t>(e.t_ns));
+      h.add(e.suspect ? 1u : 0u);
+    }
+  }
+  return h.value();
+}
+
 QosExperimentConfig base_config(std::uint64_t seed,
                                 const std::string& scenario) {
   QosExperimentConfig config;
@@ -69,45 +119,49 @@ QosExperimentConfig base_config(std::uint64_t seed,
   return config;
 }
 
+struct Pinned {
+  std::uint64_t fingerprint;
+  std::uint64_t streams;
+};
+
+// Recorded from both engines, which agreed on every case.
+const std::map<std::pair<std::uint64_t, std::string>, Pinned>& pinned() {
+  static const std::map<std::pair<std::uint64_t, std::string>, Pinned>
+      kPinned = {
+          {{7, ""}, {0xc92b8ec691d9c48dULL, 0x66924ea776477cceULL}},
+          {{7, "spike_storm"}, {0xcf100f35398c4f27ULL, 0x7304692b3c2cc67dULL}},
+          {{7, "burst_loss"}, {0x1f57059e6fe1380fULL, 0xa3fd55d6558eef92ULL}},
+          {{11, ""}, {0x4043257be6fe8b26ULL, 0x92232eb039b0a90eULL}},
+          {{11, "spike_storm"}, {0x3cf3c4d8a205f2aeULL, 0x1c08fedcfec8f18eULL}},
+          {{11, "burst_loss"}, {0xda9bbafceecccea8ULL, 0x3b48900f03343e71ULL}},
+          {{13, ""}, {0x82ab715f82c78993ULL, 0xc2303a8770ad679aULL}},
+          {{13, "spike_storm"}, {0x3407ec72c83e109eULL, 0xe25a3bb7e264ddcfULL}},
+          {{13, "burst_loss"}, {0xa6f6a1c39ae5cf73ULL, 0x7368536c283d9a42ULL}},
+      };
+  return kPinned;
+}
+
 class BankEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string>> {
 };
 
 TEST_P(BankEquivalenceTest, BankAndLegacyAreObservablyIdentical) {
   const auto [seed, scenario] = GetParam();
+  const Pinned& expected = pinned().at({seed, scenario});
 
   QosExperimentConfig config = base_config(seed, scenario);
-  Capture legacy_capture(config.runs);
-  config.use_detector_bank = false;
-  config.jobs = 1;
-  config.transition_probe = legacy_capture.probe();
-  const QosReport legacy_report = run_qos_experiment(config);
-
   Capture bank_capture(config.runs);
-  config.use_detector_bank = true;
+  config.jobs = 1;
   config.transition_probe = bank_capture.probe();
   const QosReport bank_report = run_qos_experiment(config);
 
   // Pooled QoS metrics, via the full rendered report (all five figures
-  // plus crash/heartbeat tallies).
-  EXPECT_EQ(qos_report_fingerprint(legacy_report),
-            qos_report_fingerprint(bank_report));
+  // plus crash/heartbeat tallies), and the per-(run, detector) suspect
+  // transition streams to the nanosecond.
+  EXPECT_EQ(fingerprint_digest(bank_report), expected.fingerprint);
+  EXPECT_EQ(stream_digest(bank_capture), expected.streams);
 
-  // Identical per-(run, detector) suspect-transition streams, to the
-  // nanosecond.
-  const auto legacy_lanes = legacy_capture.by_lane();
-  const auto bank_lanes = bank_capture.by_lane();
-  ASSERT_EQ(legacy_lanes.size(), bank_lanes.size());
-  for (const auto& [key, stream] : legacy_lanes) {
-    const auto it = bank_lanes.find(key);
-    ASSERT_NE(it, bank_lanes.end())
-        << "run " << key.first << " detector " << key.second;
-    EXPECT_EQ(stream, it->second)
-        << "run " << key.first << " detector " << key.second;
-  }
-
-  // The bank engine must also stay jobs-invariant (the legacy engine's
-  // invariance is pinned by parallel_determinism_test).
+  // The bank engine must also stay jobs-invariant.
   Capture bank8_capture(config.runs);
   config.jobs = 8;
   config.transition_probe = bank8_capture.probe();
@@ -119,8 +173,6 @@ TEST_P(BankEquivalenceTest, BankAndLegacyAreObservablyIdentical) {
   // And it must actually have shared: 5 predictor groups serving 30 lanes.
   EXPECT_EQ(bank_report.bank.predictor_updates * 6,
             bank_report.bank.lane_updates);
-  EXPECT_EQ(legacy_report.bank.predictor_updates,
-            legacy_report.bank.lane_updates);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,6 +13,7 @@
 
 #include "exp/qos_experiment.hpp"
 #include "exp/report.hpp"
+#include "fd/suite.hpp"
 #include "wan/italy_japan.hpp"
 #include "wan/tracestore.hpp"
 
@@ -121,11 +122,17 @@ TEST(PdesDeterminismTest, OuterAndInnerParallelismCompose) {
 }
 
 TEST(PdesDeterminismTest, LegacyDetectorEngineAlsoMatches) {
-  // The per-spec FreshnessDetector layout shards differently (every lane
-  // its own group) — the deferred-tracker merge must not care.
+  // The paper suite with every predictor_key cleared: no predictor is
+  // shared, so every lane is its own group and the LP engine shards lane by
+  // lane — the layout the retired per-spec detector engine had. The
+  // deferred-tracker merge must not care.
   QosExperimentConfig seq = small_config(11);
-  seq.use_detector_bank = false;
+  seq.include_paper_suite = false;
+  seq.extra_specs = fd::make_paper_suite(seq.params);
+  for (auto& spec : seq.extra_specs) spec.predictor_key.clear();
   const std::string reference = fingerprint(seq);
+  // Unshared predictors behave exactly like shared ones.
+  EXPECT_EQ(reference, fingerprint(small_config(11)));
 
   QosExperimentConfig lp = seq;
   lp.sim_engine = SimEngine::kLp;

@@ -5,9 +5,9 @@
 // (all five figures plus crash/heartbeat tallies, via
 // fleet_endpoint_view()), same nanosecond-exact suspect-transition streams.
 // The matrix pins seeds {7, 11, 13} × {nominal, spike_storm, burst_loss}
-// at shards {1, 4, 7}, plus jobs = 1 ≡ jobs = 8, seq ≡ lp, and the M = 1
-// identity (a forced 1-endpoint fleet reproduces the plain engine's bytes
-// at every jobs/engine combination).
+// at shards {1, 4, 7}, plus jobs = 1 ≡ jobs = 8 and the M = 1 identity (a
+// forced 1-endpoint fleet reproduces the plain engine's bytes at every
+// jobs value); an LP-engine fleet is rejected.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -177,30 +177,22 @@ TEST(FleetParallelismTest, JobsInvariant) {
   EXPECT_EQ(serial_capture.streams, parallel_capture.streams);
 }
 
-// Under SimEngine::kLp each endpoint shard becomes one LP; the reports stay
-// byte-identical to the sequential engine.
-TEST(FleetParallelismTest, SeqAndLpEnginesAreIdentical) {
-  QosExperimentConfig config = base_config(7, "spike_storm");
-  config.runs = 2;
+// Fleets run only on the sequential engine: their (run, shard) units
+// already run in parallel under `jobs`, so an LP-engine fleet is rejected
+// before any run starts.
+TEST(FleetParallelismDeathTest, LpEngineIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  QosExperimentConfig config = base_config(7, "");
   config.endpoints = 5;
-  config.fleet_shards = 3;
-  config.jobs = 2;
-  FleetCapture seq_capture(config.runs, config.endpoints);
-  config.transition_probe = seq_capture.probe();
-  const QosReport seq = run_qos_experiment(config);
-
   config.sim_engine = SimEngine::kLp;
-  config.lp_jobs = 2;
-  FleetCapture lp_capture(config.runs, config.endpoints);
-  config.transition_probe = lp_capture.probe();
-  const QosReport lp = run_qos_experiment(config);
-
-  EXPECT_EQ(qos_report_fingerprint(seq), qos_report_fingerprint(lp));
-  EXPECT_EQ(seq_capture.streams, lp_capture.streams);
+  EXPECT_DEATH(run_qos_experiment(config), "--sim-engine lp does not run");
+  config.endpoints = 1;
+  config.force_fleet_engine = true;
+  EXPECT_DEATH(run_qos_experiment(config), "--sim-engine lp does not run");
 }
 
 // M = 1 identity: a forced 1-endpoint fleet reports byte-identically to the
-// plain single-endpoint engine at every jobs/engine combination.
+// plain single-endpoint engine at every jobs value.
 TEST(FleetIdentityTest, SingleEndpointFleetMatchesPlainEngineEverywhere) {
   QosExperimentConfig plain = base_config(7, "burst_loss");
   plain.runs = 2;
@@ -210,25 +202,19 @@ TEST(FleetIdentityTest, SingleEndpointFleetMatchesPlainEngineEverywhere) {
   const std::string plain_fingerprint = qos_report_fingerprint(plain_report);
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    for (const SimEngine engine : {SimEngine::kSeq, SimEngine::kLp}) {
-      QosExperimentConfig fleet = base_config(7, "burst_loss");
-      fleet.runs = 2;
-      fleet.force_fleet_engine = true;
-      fleet.jobs = jobs;
-      fleet.sim_engine = engine;
-      FleetCapture fleet_capture(fleet.runs, 1);
-      fleet.transition_probe = fleet_capture.probe();
-      const QosReport fleet_report = run_qos_experiment(fleet);
-      EXPECT_EQ(qos_report_fingerprint(fleet_report), plain_fingerprint)
-          << "jobs " << jobs << " engine "
-          << (engine == SimEngine::kLp ? "lp" : "seq");
-      EXPECT_EQ(fleet_capture.streams, plain_capture.streams)
-          << "jobs " << jobs << " engine "
-          << (engine == SimEngine::kLp ? "lp" : "seq");
-      // The single endpoint's view is the whole report.
-      EXPECT_EQ(qos_report_fingerprint(fleet_endpoint_view(fleet_report, 0)),
-                plain_fingerprint);
-    }
+    QosExperimentConfig fleet = base_config(7, "burst_loss");
+    fleet.runs = 2;
+    fleet.force_fleet_engine = true;
+    fleet.jobs = jobs;
+    FleetCapture fleet_capture(fleet.runs, 1);
+    fleet.transition_probe = fleet_capture.probe();
+    const QosReport fleet_report = run_qos_experiment(fleet);
+    EXPECT_EQ(qos_report_fingerprint(fleet_report), plain_fingerprint)
+        << "jobs " << jobs;
+    EXPECT_EQ(fleet_capture.streams, plain_capture.streams) << "jobs " << jobs;
+    // The single endpoint's view is the whole report.
+    EXPECT_EQ(qos_report_fingerprint(fleet_endpoint_view(fleet_report, 0)),
+              plain_fingerprint);
   }
 }
 

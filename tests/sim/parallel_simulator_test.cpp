@@ -284,8 +284,6 @@ TEST(MinDelayTest, TraceReplayUsesTraceMinimumExceptUnderExtend) {
                                         Duration::millis(260)};
   wan::TraceReplayDelay truncate(delays, wan::ReplayPolicy::kTruncate);
   EXPECT_EQ(truncate.min_delay(), Duration::millis(195));
-  wan::TraceReplayDelay wrap(delays, wan::ReplayPolicy::kWrap);
-  EXPECT_EQ(wrap.min_delay(), Duration::millis(195));
   // kExtend resamples the tail from a fitted model — no floor promise.
   wan::TraceReplayDelay extend(delays, wan::ReplayPolicy::kExtend);
   EXPECT_EQ(extend.min_delay(), Duration::zero());

@@ -38,12 +38,14 @@ TEST(TraceReplayTest, ReplaysInOrder) {
   EXPECT_EQ(replay.sample(rng, TimePoint::origin()), Duration::millis(3));
 }
 
-TEST(TraceReplayTest, WrapsAround) {
+TEST(TraceReplayTest, DefaultsToTruncate) {
   TraceReplayDelay replay({Duration::millis(5), Duration::millis(6)});
+  EXPECT_EQ(replay.policy(), ReplayPolicy::kTruncate);
   Rng rng(3);
   replay.sample(rng, TimePoint::origin());
   replay.sample(rng, TimePoint::origin());
-  EXPECT_EQ(replay.sample(rng, TimePoint::origin()), Duration::millis(5));
+  EXPECT_EQ(replay.sample(rng, TimePoint::origin()), Duration::millis(6));
+  EXPECT_EQ(replay.overruns(), 1u);
 }
 
 TEST(TraceTest, SaveLoadRoundTrip) {

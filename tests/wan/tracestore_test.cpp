@@ -289,12 +289,11 @@ TEST(TracestoreMalformedTest, EmptyCsv) {
 
 TEST(ReplayPolicyTest, ParseAndName) {
   EXPECT_EQ(parse_replay_policy("truncate"), ReplayPolicy::kTruncate);
-  EXPECT_EQ(parse_replay_policy("wrap"), ReplayPolicy::kWrap);
   EXPECT_EQ(parse_replay_policy("extend"), ReplayPolicy::kExtend);
+  EXPECT_EQ(parse_replay_policy("wrap"), std::nullopt);
   EXPECT_EQ(parse_replay_policy("loop"), std::nullopt);
   EXPECT_EQ(parse_replay_policy(""), std::nullopt);
   EXPECT_STREQ(replay_policy_name(ReplayPolicy::kTruncate), "truncate");
-  EXPECT_STREQ(replay_policy_name(ReplayPolicy::kWrap), "wrap");
   EXPECT_STREQ(replay_policy_name(ReplayPolicy::kExtend), "extend");
 }
 
@@ -309,16 +308,6 @@ TEST(ReplayPolicyTest, TruncateRepeatsLastDelayAndCountsOverruns) {
   EXPECT_EQ(replay.sample(rng, TimePoint::origin()), Duration::millis(2));
   EXPECT_EQ(replay.sample(rng, TimePoint::origin()), Duration::millis(2));
   EXPECT_EQ(replay.overruns(), 2u);
-}
-
-TEST(ReplayPolicyTest, WrapLoopsBackToStart) {
-  TraceReplayDelay replay({Duration::millis(5), Duration::millis(6)},
-                          ReplayPolicy::kWrap);
-  Rng rng(2);
-  replay.sample(rng, TimePoint::origin());
-  replay.sample(rng, TimePoint::origin());
-  EXPECT_EQ(replay.sample(rng, TimePoint::origin()), Duration::millis(5));
-  EXPECT_EQ(replay.overruns(), 0u);
 }
 
 TEST(ReplayPolicyTest, ExtendSamplesFittedTailWithinObservedRange) {

@@ -1,17 +1,16 @@
-// bench_detector_bank — overhead A/B of the batched DetectorBank engine
-// against the legacy one-FreshnessDetector-per-spec layout.
+// bench_detector_bank — cost of the batched DetectorBank engine as the
+// suite widens.
 //
 // For each suite width W (default 30, 300, 3000 — the paper suite and two
 // synthetic replications of it, keeping 5 distinct predictors at every
-// width) the same QoS experiment runs once per engine. The harness verifies
-// in-process that both engines render byte-identical reports, asserts the
-// bank's shared-predictor evaluation cuts predictor observe() calls by at
-// least 3x, and writes BENCH_detector_bank.json:
+// width) the QoS experiment runs once on the bank. The harness asserts the
+// bank's shared-predictor evaluation cuts predictor observe() calls to at
+// most a third of the lane updates (one per lane per heartbeat, what
+// unshared predictors would cost), and writes BENCH_detector_bank.json:
 //
 //   [{"bench": "detector_bank", "commit": "c9d3785", "hw_jobs": 4,
-//     "width": 30, "runs": 2, "cycles": 400,
-//     "legacy_wall_s": ..., "bank_wall_s": ..., "speedup": ...,
-//     "legacy_predictor_updates": ..., "bank_predictor_updates": ...,
+//     "width": 30, "runs": 2, "cycles": 400, "bank_wall_s": ...,
+//     "bank_predictor_updates": ..., "bank_lane_updates": ...,
 //     "update_reduction": ..., "bank_coalesced_timers": ...,
 //     "bank_timer_events": ...}, ...]
 //
@@ -30,7 +29,6 @@
 #include "common/args.hpp"
 #include "exec/thread_pool.hpp"
 #include "exp/qos_experiment.hpp"
-#include "exp/report.hpp"
 #include "fd/suite.hpp"
 
 using namespace fdqos;
@@ -93,13 +91,18 @@ std::vector<std::size_t> parse_widths(const std::string& csv) {
 
 struct Entry {
   std::size_t width;
-  double legacy_wall_s;
-  double bank_wall_s;
-  std::uint64_t legacy_updates;
-  std::uint64_t bank_updates;
-  std::uint64_t bank_coalesced;
-  std::uint64_t bank_timer_events;
+  double wall_s;
+  fd::DetectorBank::Counters bank;
 };
+
+// Lane updates per predictor update: 1 when nothing is shared, 6 on the
+// paper suite (30 lanes over 5 predictor groups).
+double update_reduction(const fd::DetectorBank::Counters& bank) {
+  return bank.predictor_updates > 0
+             ? static_cast<double>(bank.lane_updates) /
+                   static_cast<double>(bank.predictor_updates)
+             : 0.0;
+}
 
 }  // namespace
 
@@ -124,48 +127,23 @@ int main(int argc, char** argv) {
     config.jobs = jobs;
     config.mttc = Duration::seconds(90);
     config.ttr = Duration::seconds(20);
-    // The suite is assembled here (not per engine) so both engines see the
-    // exact same specs regardless of width.
     config.include_paper_suite = false;
     config.extra_specs = replicated_suite(width);
 
     Entry entry{};
     entry.width = width;
+    exp::QosReport report;
+    entry.wall_s =
+        wall_seconds([&] { report = exp::run_qos_experiment(config); });
+    entry.bank = report.bank;
 
-    config.use_detector_bank = false;
-    exp::QosReport legacy_report;
-    entry.legacy_wall_s =
-        wall_seconds([&] { legacy_report = exp::run_qos_experiment(config); });
-    entry.legacy_updates = legacy_report.bank.predictor_updates;
-
-    config.use_detector_bank = true;
-    exp::QosReport bank_report;
-    entry.bank_wall_s =
-        wall_seconds([&] { bank_report = exp::run_qos_experiment(config); });
-    entry.bank_updates = bank_report.bank.predictor_updates;
-    entry.bank_coalesced = bank_report.bank.coalesced_timers;
-    entry.bank_timer_events = bank_report.bank.timer_events;
-
-    if (exp::qos_report_fingerprint(legacy_report) !=
-        exp::qos_report_fingerprint(bank_report)) {
-      std::fprintf(stderr,
-                   "[bench_detector_bank] FAIL: width %zu bank report "
-                   "differs from legacy\n",
-                   width);
-      ok = false;
-    }
-    const double reduction =
-        entry.bank_updates > 0
-            ? static_cast<double>(entry.legacy_updates) /
-                  static_cast<double>(entry.bank_updates)
-            : 0.0;
+    const double reduction = update_reduction(entry.bank);
     std::fprintf(stderr,
-                 "[bench_detector_bank] width=%zu legacy=%.3fs bank=%.3fs "
-                 "(%.2fx) predictor updates %llu -> %llu (%.1fx fewer)\n",
-                 width, entry.legacy_wall_s, entry.bank_wall_s,
-                 entry.legacy_wall_s / entry.bank_wall_s,
-                 static_cast<unsigned long long>(entry.legacy_updates),
-                 static_cast<unsigned long long>(entry.bank_updates),
+                 "[bench_detector_bank] width=%zu bank=%.3fs predictor "
+                 "updates %llu for %llu lane updates (%.1fx fewer)\n",
+                 width, entry.wall_s,
+                 static_cast<unsigned long long>(entry.bank.predictor_updates),
+                 static_cast<unsigned long long>(entry.bank.lane_updates),
                  reduction);
     if (reduction < 3.0) {
       std::fprintf(stderr,
@@ -187,18 +165,16 @@ int main(int argc, char** argv) {
         line, sizeof line,
         "  {\"bench\": \"detector_bank\", \"commit\": \"%s\", "
         "\"hw_jobs\": %zu, \"width\": %zu, \"runs\": %zu, "
-        "\"cycles\": %lld, \"legacy_wall_s\": %.3f, \"bank_wall_s\": %.3f, "
-        "\"speedup\": %.2f, \"legacy_predictor_updates\": %llu, "
-        "\"bank_predictor_updates\": %llu, \"update_reduction\": %.2f, "
-        "\"bank_coalesced_timers\": %llu, \"bank_timer_events\": %llu}%s\n",
+        "\"cycles\": %lld, \"bank_wall_s\": %.3f, "
+        "\"bank_predictor_updates\": %llu, \"bank_lane_updates\": %llu, "
+        "\"update_reduction\": %.2f, \"bank_coalesced_timers\": %llu, "
+        "\"bank_timer_events\": %llu}%s\n",
         commit.c_str(), hw_jobs, e.width, runs, static_cast<long long>(cycles),
-        e.legacy_wall_s, e.bank_wall_s, e.legacy_wall_s / e.bank_wall_s,
-        static_cast<unsigned long long>(e.legacy_updates),
-        static_cast<unsigned long long>(e.bank_updates),
-        static_cast<double>(e.legacy_updates) /
-            static_cast<double>(e.bank_updates),
-        static_cast<unsigned long long>(e.bank_coalesced),
-        static_cast<unsigned long long>(e.bank_timer_events),
+        e.wall_s, static_cast<unsigned long long>(e.bank.predictor_updates),
+        static_cast<unsigned long long>(e.bank.lane_updates),
+        update_reduction(e.bank),
+        static_cast<unsigned long long>(e.bank.coalesced_timers),
+        static_cast<unsigned long long>(e.bank.timer_events),
         i + 1 < entries.size() ? "," : "");
     json += line;
   }
@@ -213,7 +189,6 @@ int main(int argc, char** argv) {
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   std::printf("%s", json.c_str());
-  std::fprintf(stderr, "[bench_detector_bank] wrote %s%s\n", out_path.c_str(),
-               ok ? " (reports identical)" : "");
+  std::fprintf(stderr, "[bench_detector_bank] wrote %s\n", out_path.c_str());
   return ok ? 0 : 1;
 }

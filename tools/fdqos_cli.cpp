@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,10 @@ int usage() {
   std::fprintf(stderr,
                "usage: fdqos "
                "<qos|chaos|workload|accuracy|link|order-select|record|replay|"
-               "serve|trace> [flags]\n"
+               "serve> [flags]\n"
                "  qos          reproduce the Figures 4-8 experiment\n"
                "               (--trace FILE runs it on a recorded trace,\n"
-               "               --policy truncate|wrap|extend at trace end)\n"
+               "               --policy truncate|extend at trace end)\n"
                "  chaos        run the QoS experiment under a fault scenario\n"
                "               and check the QoS invariants (--list to see\n"
                "               scenarios; --scenario NAME --seed N --jobs J)\n"
@@ -82,7 +83,6 @@ int usage() {
                "               --no-capture, --duration-s S, --batch N;\n"
                "               SIGINT/SIGTERM shut down cleanly; see\n"
                "               docs/serve.md)\n"
-               "  trace        deprecated alias for `record` (CSV output)\n"
                "qos/accuracy also take --metrics-out FILE (Prometheus text),\n"
                "--metrics-jsonl-out FILE, --trace-out FILE (chrome://tracing)\n"
                "and --progress SECONDS (periodic telemetry on stderr)\n"
@@ -93,16 +93,13 @@ int usage() {
                "one JSON object per --progress line)\n"
                "qos/accuracy/order-select take --jobs N (worker threads;\n"
                "default = cores, 1 = serial, output identical at every N)\n"
-               "qos/chaos take --engine bank|legacy (bank = one batched\n"
-               "DetectorBank per run, the default; legacy = one detector\n"
-               "per spec — reports are byte-identical either way)\n"
                "qos/chaos/replay take --sim-engine seq|lp (lp = conservative\n"
                "parallel simulation core, --lps N logical processes and\n"
                "--lp-jobs N workers per run; env FDQOS_SIM_ENGINE sets the\n"
                "default — reports are byte-identical at every setting)\n"
                "qos/chaos take --endpoints M (fleet mode: M independent\n"
-               "monitored endpoints on one fd::FleetBank per shard) and\n"
-               "--shards S (0 = auto; see docs/fleet.md)\n"
+               "monitored endpoints on one fd::FleetBank per shard; seq\n"
+               "engine only) and --shards S (0 = auto; see docs/fleet.md)\n"
                "see docs/tracestore.md for the record/replay walkthrough\n"
                "run `fdqos <command> --help` is not needed: unknown flags "
                "are listed on error\n");
@@ -117,19 +114,33 @@ bool write_file(const std::string& path, const std::string& content) {
   return std::fclose(f) == 0 && ok;
 }
 
-// --engine bank|legacy (qos + chaos). Both engines produce byte-identical
-// reports; legacy exists for the equivalence suite and overhead A/Bs.
-bool parse_engine(const ArgParser& args, exp::QosExperimentConfig& config) {
-  const std::string engine = args.get_string("--engine", "bank");
-  if (engine == "bank") {
-    config.use_detector_bank = true;
-  } else if (engine == "legacy") {
-    config.use_detector_bank = false;
-  } else {
-    std::fprintf(stderr, "fdqos: unknown --engine '%s' (want bank|legacy)\n",
-                 engine.c_str());
-    return false;
+// A count flag that must be at least `min`. Every count ends up in a
+// size_t (or sizes a per-run vector), so a negative value would wrap to a
+// huge one: reject it here, naming the flag, before any work starts.
+std::optional<std::int64_t> parse_count(const ArgParser& args,
+                                        const char* flag,
+                                        std::int64_t fallback,
+                                        std::int64_t min) {
+  const std::int64_t value = args.get_int(flag, fallback);
+  if (value < min) {
+    std::fprintf(stderr, "fdqos: %s must be >= %lld (got %lld)\n", flag,
+                 static_cast<long long>(min), static_cast<long long>(value));
+    return std::nullopt;
   }
+  return value;
+}
+
+// --runs N, --cycles N and --jobs N (qos + chaos + replay + workload); the
+// verb's defaults are whatever `config` already holds.
+bool parse_counts(const ArgParser& args, exp::QosExperimentConfig& config) {
+  const auto runs =
+      parse_count(args, "--runs", static_cast<std::int64_t>(config.runs), 1);
+  const auto cycles = parse_count(args, "--cycles", config.num_cycles, 1);
+  const auto jobs = parse_count(args, "--jobs", 0, 0);
+  if (!runs || !cycles || !jobs) return false;
+  config.runs = static_cast<std::size_t>(*runs);
+  config.num_cycles = *cycles;
+  config.jobs = static_cast<std::size_t>(*jobs);
   return true;
 }
 
@@ -156,20 +167,19 @@ bool parse_sim_engine(const ArgParser& args, exp::QosExperimentConfig& config) {
                  engine.c_str());
     return false;
   }
-  const int lps = static_cast<int>(args.get_int("--lps", 4));
-  if (lps < 1) {
-    std::fprintf(stderr, "fdqos: --lps must be >= 1 (got %d)\n", lps);
-    return false;
-  }
-  config.lps = static_cast<std::size_t>(lps);
-  config.lp_jobs = static_cast<std::size_t>(args.get_int("--lp-jobs", 0));
+  const auto lps = parse_count(args, "--lps", 4, 1);
+  const auto lp_jobs = parse_count(args, "--lp-jobs", 0, 0);
+  if (!lps || !lp_jobs) return false;
+  config.lps = static_cast<std::size_t>(*lps);
+  config.lp_jobs = static_cast<std::size_t>(*lp_jobs);
   return true;
 }
 
 // --endpoints M and --shards S (qos + chaos): fleet mode, M independent
 // monitored endpoints sharded over S fd::FleetBank shards (docs/fleet.md).
-// M = 1 (the default) is the exact legacy single-endpoint experiment;
-// --shards 0 picks min(endpoints, hardware jobs).
+// M = 1 (the default) is the exact single-endpoint experiment; --shards 0
+// picks min(endpoints, hardware jobs). Runs after parse_sim_engine: a
+// fleet runs its (run, shard) grid on the sequential engine only.
 bool parse_fleet(const ArgParser& args, exp::QosExperimentConfig& config) {
   const std::int64_t endpoints = args.get_int("--endpoints", 1);
   if (endpoints < 1) {
@@ -185,23 +195,23 @@ bool parse_fleet(const ArgParser& args, exp::QosExperimentConfig& config) {
     return false;
   }
   config.fleet_shards = static_cast<std::size_t>(shards);
-  if (config.endpoints > 1 && !config.use_detector_bank) {
+  if (config.endpoints > 1 && config.sim_engine == exp::SimEngine::kLp) {
     std::fprintf(stderr,
-                 "fdqos: --endpoints > 1 requires --engine bank (the fleet "
-                 "has no legacy engine)\n");
+                 "fdqos: --sim-engine lp does not run fleets (--endpoints "
+                 "> 1); fleet shards already run in parallel under --jobs\n");
     return false;
   }
   return true;
 }
 
-// --policy truncate|wrap|extend (qos + replay): what replay does at trace
+// --policy truncate|extend (qos + replay): what replay does at trace
 // end. Only meaningful with --trace; see docs/tracestore.md.
 bool parse_policy(const ArgParser& args, exp::QosExperimentConfig& config) {
   const std::string policy = args.get_string("--policy", "truncate");
   const auto parsed = wan::parse_replay_policy(policy);
   if (!parsed.has_value()) {
     std::fprintf(stderr,
-                 "fdqos: unknown --policy '%s' (want truncate|wrap|extend)\n",
+                 "fdqos: unknown --policy '%s' (want truncate|extend)\n",
                  policy.c_str());
     return false;
   }
@@ -311,22 +321,19 @@ struct ObsSession {
 // mandatory (it exists so "run the comparison on this recording" is a
 // first-class verb, not a flag spelling).
 int cmd_qos_impl(const ArgParser& args, bool require_trace) {
-  exp::QosExperimentConfig config;
-  config.runs = static_cast<std::size_t>(args.get_int("--runs", 13));
-  config.num_cycles = args.get_int("--cycles", 10000);
+  exp::QosExperimentConfig config;  // paper defaults: 13 x 10000 cycles
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
   config.eta = Duration::millis(args.get_int("--eta-ms", 1000));
   config.mttc = Duration::seconds(args.get_int("--mttc-s", 300));
   config.ttr = Duration::seconds(args.get_int("--ttr-s", 30));
   config.include_constant_baseline = args.get_flag("--baselines");
   config.trace_path = args.get_string("--trace", "");
-  config.jobs = static_cast<std::size_t>(args.get_int("--jobs", 0));
+  if (!parse_counts(args, config)) return 2;
   if (require_trace && config.trace_path.empty()) {
     std::fprintf(stderr, "fdqos replay: --trace FILE required "
                          "(record one with `fdqos record`)\n");
     return 2;
   }
-  if (!parse_engine(args, config)) return 2;
   if (!parse_sim_engine(args, config)) return 2;
   if (!parse_fleet(args, config)) return 2;
   if (!parse_policy(args, config)) return 2;
@@ -403,14 +410,13 @@ int cmd_chaos(const ArgParser& args) {
 
   exp::QosExperimentConfig config;
   config.chaos_scenario = args.get_string("--scenario", "");
-  config.runs = static_cast<std::size_t>(args.get_int("--runs", 3));
-  config.num_cycles = args.get_int("--cycles", 1200);
+  config.runs = 3;
+  config.num_cycles = 1200;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 7));
   config.eta = Duration::millis(args.get_int("--eta-ms", 1000));
   config.mttc = Duration::seconds(args.get_int("--mttc-s", 120));
   config.ttr = Duration::seconds(args.get_int("--ttr-s", 25));
-  config.jobs = static_cast<std::size_t>(args.get_int("--jobs", 0));
-  if (!parse_engine(args, config)) return 2;
+  if (!parse_counts(args, config)) return 2;
   if (!parse_sim_engine(args, config)) return 2;
   if (!parse_fleet(args, config)) return 2;
   const std::string metric = args.get_string("--metric", "all");
@@ -503,16 +509,15 @@ int cmd_workload(const ArgParser& args) {
 
   exp::QosExperimentConfig config;
   config.chaos_scenario = args.get_string("--scenario", "");
-  config.runs = static_cast<std::size_t>(args.get_int("--runs", 3));
-  config.num_cycles = args.get_int("--cycles", 1200);
+  config.runs = 3;
+  config.num_cycles = 1200;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 7));
   config.eta = Duration::millis(args.get_int("--eta-ms", 1000));
   config.mttc = Duration::seconds(args.get_int("--mttc-s", 120));
   config.ttr = Duration::seconds(args.get_int("--ttr-s", 25));
   config.trace_path = args.get_string("--trace", "");
-  config.jobs = static_cast<std::size_t>(args.get_int("--jobs", 0));
   const std::string name = args.get_string("--name", "");
-  if (!parse_engine(args, config)) return 2;
+  if (!parse_counts(args, config)) return 2;
   if (!parse_sim_engine(args, config)) return 2;
   if (!parse_fleet(args, config)) return 2;
   if (!parse_policy(args, config)) return 2;
@@ -613,11 +618,11 @@ int cmd_workload(const ArgParser& args) {
 // replayable artifact. --runs R records R shards (one per forked run
 // stream) merged in run order. A trace captured from a real link (e.g. by
 // wiring wan::RecordingDelay into a UDP deployment) drops in identically.
-int record_impl(const ArgParser& args, const std::string& default_out) {
+int cmd_record(const ArgParser& args) {
   const auto n = args.get_int("--n", 100000);
   const auto runs = args.get_int("--runs", 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  const std::string out = args.get_string("--out", default_out);
+  const std::string out = args.get_string("--out", "trace.fdt");
   const auto eta_ms = args.get_int("--eta-ms", 1000);
   const std::string scenario = args.get_string("--scenario", "");
   const auto fault_start_s = args.get_int("--fault-start-s", 0);
@@ -736,8 +741,6 @@ int record_impl(const ArgParser& args, const std::string& default_out) {
   return 0;
 }
 
-int cmd_record(const ArgParser& args) { return record_impl(args, "trace.fdt"); }
-
 // `serve` — the live heavy-traffic UDP ingest daemon (serve/daemon.hpp,
 // docs/serve.md). The signal path is the one place a handler touches the
 // process: a file-scope pointer set strictly before handlers install,
@@ -834,13 +837,6 @@ int cmd_serve(const ArgParser& args) {
   return rc;
 }
 
-int cmd_trace(const ArgParser& args) {
-  std::fprintf(stderr,
-               "fdqos trace: deprecated alias for `fdqos record` "
-               "(CSV output; use record for the .fdt binary format)\n");
-  return record_impl(args, "trace.csv");
-}
-
 int cmd_accuracy(const ArgParser& args) {
   exp::AccuracyExperimentConfig config;
   config.n_oneway = static_cast<std::size_t>(args.get_int("--n", 100000));
@@ -919,7 +915,6 @@ int main(int argc, char** argv) {
   if (command == "record") return cmd_record(args);
   if (command == "replay") return cmd_replay(args);
   if (command == "serve") return cmd_serve(args);
-  if (command == "trace") return cmd_trace(args);
   std::fprintf(stderr, "fdqos: unknown command '%s'\n", command.c_str());
   return usage();
 }
