@@ -34,8 +34,7 @@ namespace fdqos::detail {
 // Debug-only invariant check: compiled out under NDEBUG. For checks on hot
 // paths (per-event, per-message) that would be too costly to keep in release
 // builds but whose failure means the simulation is already corrupt — e.g. an
-// event scheduled behind the simulator's clock, or a cross-LP message that
-// violates the conservative synchronization bound.
+// event scheduled behind the simulator's clock.
 #ifndef NDEBUG
 #define FDQOS_DASSERT(expr) FDQOS_ASSERT(expr)
 #else

@@ -11,7 +11,6 @@
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "faultx/scenarios.hpp"
-#include "net/lp_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "obs/instruments.hpp"
 #include "obs/runs.hpp"
@@ -80,10 +79,11 @@ std::vector<FdQosResult> results_from_pooled(
 
 namespace {
 
-// The per-run link stack, identical under both engines: trace replay or the
-// synthetic Italy→Japan models, optionally wrapped by chaos and recording.
-// RNG forks are pure functions of (parent, name), so sharing this builder
-// keeps the two engines' draw sequences aligned by construction.
+// The per-run link stack, shared by run_one and every fleet endpoint: trace
+// replay or the synthetic Italy→Japan models, optionally wrapped by chaos
+// and recording. RNG forks are pure functions of (parent, name), so sharing
+// this builder keeps the two engines' draw sequences aligned by
+// construction.
 net::SimTransport::LinkConfig make_link_config(
     const QosExperimentConfig& config,
     const std::shared_ptr<const std::vector<Duration>>& trace,
@@ -327,394 +327,6 @@ RunOutput run_one(const QosExperimentConfig& config,
   }
   FDQOS_LOG_INFO("qos run %zu/%zu: %llu crashes", run + 1, config.runs,
                  static_cast<unsigned long long>(out.crash_count));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// LP-partitioned engine (SimEngine::kLp; sim/parallel_simulator.hpp and
-// docs/pdes.md).
-//
-// Partition per run: LP0 owns the whole sender stack — heartbeater, crash
-// injector, fault wrappers and every link RNG draw — and LPs 1..lps-1 each
-// own a shard of the detector suite behind their own MultiPlexer. The only
-// cross-LP channel is heartbeat delivery LP0→shard, whose lookahead is the
-// link's minimum one-way delay, so shards run concurrently with the sender
-// up to one delay floor ahead.
-//
-// QosTrackers are pure folds over timestamped records, so instead of
-// notifying them live across LPs (which would need zero-lookahead channels
-// and serialize everything), each shard records its (lane, t, suspecting)
-// transitions and LP0 records the (t, crashed) ground truth; both replay
-// into the trackers after the run. Trackers are per-lane, so cross-lane
-// order is irrelevant and the replay is deterministic for every lps,
-// lp_jobs and machine — byte-identical reports.
-
-namespace {
-
-// Suspect transition captured on a shard LP (chronological per shard).
-struct TransitionRecord {
-  std::size_t lane;  // global suite index
-  TimePoint t;
-  bool suspecting;
-};
-
-struct CrashRecord {
-  TimePoint t;
-  bool crashed;
-};
-
-// Greedy least-loaded assignment of predictor groups to shards: groups in
-// creation order, each to the shard with the fewest lanes so far (ties →
-// lowest shard id). A pure function of the suite, so the partition never
-// depends on jobs, timing or machine.
-std::vector<std::size_t> partition_groups(
-    const std::vector<std::size_t>& group_lanes, std::size_t shard_count) {
-  std::vector<std::size_t> shard_of_group(group_lanes.size());
-  std::vector<std::size_t> load(shard_count, 0);
-  for (std::size_t g = 0; g < group_lanes.size(); ++g) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < shard_count; ++s) {
-      if (load[s] < load[best]) best = s;
-    }
-    shard_of_group[g] = best;
-    load[best] += group_lanes[g];
-  }
-  return shard_of_group;
-}
-
-}  // namespace
-
-RunOutput run_one_lp(const QosExperimentConfig& config,
-                     const std::vector<fd::FdSpec>& suite,
-                     const std::shared_ptr<const std::vector<Duration>>& trace,
-                     const std::shared_ptr<const faultx::FaultSchedule>& faults,
-                     std::size_t run, const Rng& base_rng, TimePoint run_end,
-                     ProgressState* progress, std::size_t lp_jobs) {
-  Rng run_rng = base_rng.fork(run);
-  if (progress != nullptr) {
-    progress->runs_started.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const std::size_t lps = config.lps == 0 ? 1 : config.lps;
-  // lps = 1 keeps sender and detectors on one LP (the PDES baseline);
-  // otherwise LP0 sends and every other LP holds one detector shard.
-  const std::size_t shard_count = lps >= 2 ? lps - 1 : 1;
-  const auto shard_lp = [lps](std::size_t s) { return lps >= 2 ? 1 + s : s; };
-
-  sim::ParallelSimulator::Options po;
-  po.lps = lps;
-  po.jobs = lp_jobs;
-  // One LP cannot backlog cross-LP mail, so the window cap buys nothing:
-  // run the whole horizon as a single window (the PDES baseline then pays
-  // no per-round coordination at all).
-  if (lps < 2) po.max_window = Duration::zero();
-  po.roles.push_back("sender");
-  for (std::size_t i = 1; i < lps; ++i) po.roles.push_back("detectors");
-  sim::ParallelSimulator psim(std::move(po));
-  sim::Lp& sender_lp = psim.lp(0);
-
-  net::LpSenderTransport transport(psim, 0, run_rng.fork("net"));
-  transport.set_link(kMonitored, kMonitor,
-                     make_link_config(config, trace, faults, run));
-
-  // Transport-level faults wrap only the monitored node's view, exactly as
-  // in the sequential engine; every fault draw stays on the sender LP.
-  std::optional<faultx::FaultyTransport> chaos_net;
-  net::Transport* monitored_net = &transport;
-  if (faults != nullptr) {
-    chaos_net.emplace(transport, faults, run_rng.fork("faultx"));
-    monitored_net = &*chaos_net;
-  }
-
-  runtime::ProcessNode monitored(*monitored_net, kMonitored);
-  auto& crash_layer = monitored.push(std::make_unique<runtime::SimCrashLayer>(
-      sender_lp, runtime::SimCrashLayer::Config{config.mttc, config.ttr},
-      run_rng.fork("crash")));
-  runtime::HeartbeaterLayer::Config hb_config;
-  hb_config.eta = config.eta;
-  hb_config.self = kMonitored;
-  hb_config.monitor = kMonitor;
-  hb_config.max_cycles = config.num_cycles;
-  auto& heartbeater = monitored.push(
-      std::make_unique<runtime::HeartbeaterLayer>(sender_lp, hb_config));
-
-  // lps = 1 keeps every layer on one LP, so observer callbacks already
-  // fire in global simulation order — trackers update inline, exactly like
-  // the sequential engine, and the record/merge machinery below is skipped
-  // (the PDES baseline then costs what seq costs). Multi-LP runs defer.
-  const bool single_lp = lps < 2;
-  const TimePoint warmup_end = TimePoint::origin() + config.warmup;
-  std::vector<fd::QosTracker> trackers;
-  trackers.reserve(suite.size());
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    trackers.emplace_back(warmup_end);
-  }
-
-  // Ground-truth crash toggles: applied inline on the single-LP layout,
-  // recorded on LP0 and replayed after the run otherwise. Either way the
-  // crash_probe stream fires here, on the sender LP, in simulation order.
-  std::vector<CrashRecord> crash_records;
-  if (single_lp) {
-    crash_layer.set_observer([&trackers, &config, run](TimePoint t,
-                                                       bool crashed) {
-      for (auto& tracker : trackers) {
-        if (crashed) {
-          tracker.process_crashed(t);
-        } else {
-          tracker.process_restored(t);
-        }
-      }
-      if (config.crash_probe) config.crash_probe(run, 0, t, crashed);
-    });
-  } else {
-    crash_layer.set_observer([&crash_records, &config, run](TimePoint t,
-                                                            bool crashed) {
-      crash_records.push_back({t, crashed});
-      if (config.crash_probe) config.crash_probe(run, 0, t, crashed);
-    });
-  }
-
-  // Partition the suite, predictor groups kept whole (a shared predictor
-  // must see one arrival stream on one LP). Group ids replicate run_one's
-  // first-seen-key order; a lane with an empty key is its own group.
-  std::vector<std::size_t> group_of(suite.size());
-  std::vector<std::size_t> group_lanes;
-  std::unordered_map<std::string, std::size_t> group_by_key;
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const auto& key = suite[i].predictor_key;
-    const auto it = key.empty() ? group_by_key.end() : group_by_key.find(key);
-    if (it != group_by_key.end()) {
-      group_of[i] = it->second;
-    } else {
-      group_of[i] = group_lanes.size();
-      group_lanes.push_back(0);
-      if (!key.empty()) group_by_key.emplace(key, group_of[i]);
-    }
-    ++group_lanes[group_of[i]];
-  }
-  // More shards than predictor groups would leave some with a zero-lane
-  // bank (DetectorBank requires width > 0): cap the shard count at the
-  // group count — the surplus LPs simply stay idle for the whole run.
-  const std::size_t active_shards = std::min(
-      shard_count, std::max<std::size_t>(group_lanes.size(), 1));
-  const std::vector<std::size_t> shard_of_group =
-      partition_groups(group_lanes, active_shards);
-
-  struct Shard {
-    std::unique_ptr<net::LpShardTransport> transport;
-    std::unique_ptr<runtime::ProcessNode> node;
-    runtime::MultiPlexerLayer* mux = nullptr;  // owned by node
-    std::unique_ptr<fd::DetectorBank> bank;
-    std::vector<std::size_t> local_to_global;  // bank lane → suite index
-    std::vector<TransitionRecord> transitions;
-  };
-  std::vector<Shard> shards(active_shards);
-  // Live "how many lanes suspect right now" for the progress tick; shard
-  // observers update it from their own LP threads.
-  std::atomic<std::size_t> suspecting_now{0};
-
-  for (std::size_t s = 0; s < active_shards; ++s) {
-    Shard& shard = shards[s];
-    shard.transport =
-        std::make_unique<net::LpShardTransport>(psim, shard_lp(s));
-    transport.add_shard(kMonitor, *shard.transport);
-    shard.node =
-        std::make_unique<runtime::ProcessNode>(*shard.transport, kMonitor);
-    shard.mux =
-        &shard.node->push(std::make_unique<runtime::MultiPlexerLayer>());
-
-    Shard* sp = &shard;
-    fd::DetectorBank::Config bank_config;
-    bank_config.eta = config.eta;
-    bank_config.monitored = kMonitored;
-    bank_config.cold_start_timeout = config.cold_start_timeout;
-    bank_config.name = "qos-bank";
-    shard.bank =
-        std::make_unique<fd::DetectorBank>(psim.lp(shard_lp(s)), bank_config);
-    // Suite order within the shard: the first lane of a group here is
-    // also the group's globally-first spec (groups are never split), so
-    // predictor construction matches run_one exactly.
-    std::unordered_map<std::size_t, std::size_t> local_group;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-      if (shard_of_group[group_of[i]] != s) continue;
-      std::size_t lg;
-      const auto it = local_group.find(group_of[i]);
-      if (it != local_group.end()) {
-        lg = it->second;
-      } else {
-        lg = shard.bank->add_group(suite[i].make_predictor());
-        local_group.emplace(group_of[i], lg);
-      }
-      shard.bank->add_lane(suite[i].name, lg, suite[i].make_margin());
-      shard.local_to_global.push_back(i);
-    }
-    if (single_lp) {
-      shard.bank->set_observer([sp, &trackers, &config, run,
-                                &suspecting_now](std::size_t lane,
-                                                 TimePoint t, bool susp) {
-        const std::size_t i = sp->local_to_global[lane];
-        if (susp) {
-          trackers[i].suspect_started(t);
-          suspecting_now.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          trackers[i].suspect_ended(t);
-          suspecting_now.fetch_sub(1, std::memory_order_relaxed);
-        }
-        if (config.transition_probe) {
-          config.transition_probe(run, i, t, susp);
-        }
-      });
-    } else {
-      shard.bank->set_observer(
-          [sp, &suspecting_now](std::size_t lane, TimePoint t, bool susp) {
-            sp->transitions.push_back({sp->local_to_global[lane], t, susp});
-            if (susp) {
-              suspecting_now.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              suspecting_now.fetch_sub(1, std::memory_order_relaxed);
-            }
-          });
-    }
-    shard.node->attach_unowned(*shard.mux, *shard.bank);
-  }
-
-  // The one cross-LP channel: heartbeat delivery. Its lookahead is the
-  // link's hard delay floor, already shrunk by chaos clock jumps
-  // (FaultyDelay::min_delay) and zero for unconfigured/floorless links —
-  // the coordinator's stall rule keeps even that case correct.
-  if (lps >= 2) {
-    const Duration lookahead =
-        transport.link_lookahead(kMonitored, kMonitor);
-    for (std::size_t s = 0; s < active_shards; ++s) {
-      psim.set_lookahead(0, shard_lp(s), lookahead);
-    }
-  }
-
-  monitored.start();
-  for (auto& shard : shards) shard.node->start();
-
-  // Reduced LP-mode telemetry tick on the sender LP: mid-run shard state
-  // (per-lane gauges, timer deadlines) belongs to other LPs, so the tick
-  // publishes only sender-local counts and the shard-maintained atomic
-  // suspecting count. See docs/pdes.md.
-  std::function<void()> progress_tick;
-  if (progress != nullptr) {
-    const Duration tick_every = config.eta * 5;
-    // tick_every by value: the tick outlives this block.
-    progress_tick = [&, run, tick_every] {
-      std::unique_lock<std::mutex> lock(progress->mu, std::try_to_lock);
-      if (lock.owns_lock() && progress->emitter.due()) {
-        const std::size_t suspecting =
-            suspecting_now.load(std::memory_order_relaxed);
-        const std::size_t started =
-            progress->runs_started.load(std::memory_order_relaxed);
-        const std::size_t done =
-            progress->runs_done.load(std::memory_order_relaxed);
-        const auto hb_stats = transport.link_stats(kMonitored, kMonitor);
-        if (obs::enabled()) {
-          obs::instruments().experiment_run.set(static_cast<double>(started));
-          obs::instruments().fd_suspecting.set(
-              static_cast<double>(suspecting));
-          obs::RunStatus st;
-          st.id = config.run_id;
-          st.verb = config.run_verb;
-          st.suite = config.suite_label;
-          st.runs_total = config.runs;
-          st.runs_started = started;
-          st.runs_done = done;
-          st.crashes = progress->crashes_done.load(std::memory_order_relaxed) +
-                       crash_layer.crash_count();
-          st.heartbeats_sent = hb_stats.sent;
-          st.detectors = suite.size();
-          st.suspecting = suspecting;
-          st.sim_time_s = sender_lp.now().to_seconds_double();
-          obs::RunRegistry::global().update(st);
-        }
-        progress->emitter.emit(
-            "run %zu/%zu (%zu done) t=%.0fs cycles=%lld/%lld crashes=%llu "
-            "hb sent=%llu delivered=%llu lost=%llu suspecting=%zu/%zu",
-            run + 1, config.runs, done, sender_lp.now().to_seconds_double(),
-            static_cast<long long>(heartbeater.cycles_sent()),
-            static_cast<long long>(config.num_cycles),
-            static_cast<unsigned long long>(crash_layer.crash_count()),
-            static_cast<unsigned long long>(hb_stats.sent),
-            static_cast<unsigned long long>(hb_stats.delivered),
-            static_cast<unsigned long long>(hb_stats.sent -
-                                            hb_stats.delivered),
-            suspecting, suite.size());
-      }
-      sender_lp.schedule_after(tick_every, progress_tick);
-    };
-    sender_lp.schedule_after(tick_every, progress_tick);
-  }
-
-  psim.run_until(run_end);
-
-  // Multi-LP: replay the recorded streams into the trackers. A lane's
-  // transitions live on exactly one shard, appended in that LP's execution
-  // order — chronological — so a per-lane two-stream merge with the crash
-  // toggles reproduces the live update sequence. Equal-instant ties replay
-  // crash-first (fixed, engine-independent order; the determinism suite
-  // pins the resulting bytes). Single-LP runs updated inline above.
-  if (!single_lp) {
-    std::vector<std::vector<const TransitionRecord*>> by_lane(suite.size());
-    for (const auto& shard : shards) {
-      for (const auto& rec : shard.transitions) {
-        by_lane[rec.lane].push_back(&rec);
-      }
-    }
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-      fd::QosTracker& tracker = trackers[i];
-      const auto& lane = by_lane[i];
-      std::size_t c = 0;
-      std::size_t t = 0;
-      while (c < crash_records.size() || t < lane.size()) {
-        const bool take_crash =
-            t >= lane.size() ||
-            (c < crash_records.size() && crash_records[c].t <= lane[t]->t);
-        if (take_crash) {
-          if (crash_records[c].crashed) {
-            tracker.process_crashed(crash_records[c].t);
-          } else {
-            tracker.process_restored(crash_records[c].t);
-          }
-          ++c;
-        } else {
-          if (lane[t]->suspecting) {
-            tracker.suspect_started(lane[t]->t);
-          } else {
-            tracker.suspect_ended(lane[t]->t);
-          }
-          if (config.transition_probe) {
-            // Note: under this layout the probe fires post-run, grouped by
-            // lane (time-ordered within a lane), not globally interleaved.
-            config.transition_probe(run, i, lane[t]->t, lane[t]->suspecting);
-          }
-          ++t;
-        }
-      }
-    }
-  }
-  for (auto& tracker : trackers) tracker.finalize(run_end);
-
-  RunOutput out;
-  out.crash_count = crash_layer.crash_count();
-  const auto hb_stats = transport.link_stats(kMonitored, kMonitor);
-  out.hb_sent = hb_stats.sent;
-  out.hb_delivered = hb_stats.delivered;
-  if (chaos_net.has_value()) out.chaos = chaos_net->stats();
-  for (const auto& shard : shards) out.bank.add(shard.bank->counters());
-  out.sim = psim.stats();
-  out.trackers = std::move(trackers);
-
-  if (progress != nullptr) {
-    progress->runs_done.fetch_add(1, std::memory_order_relaxed);
-    progress->crashes_done.fetch_add(out.crash_count,
-                                     std::memory_order_relaxed);
-  }
-  FDQOS_LOG_INFO(
-      "qos run %zu/%zu (lp engine, %zu lps): %llu crashes", run + 1,
-      config.runs, lps, static_cast<unsigned long long>(out.crash_count));
   return out;
 }
 

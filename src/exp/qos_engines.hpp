@@ -24,7 +24,6 @@
 #include "faultx/fault_schedule.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
-#include "sim/parallel_simulator.hpp"
 
 namespace fdqos::exp::detail {
 
@@ -48,9 +47,10 @@ struct Pooled {
   stats::RunningStats per_run_availability;
 };
 
-// One finalized tracker folded into a pooled accumulator. Every engine
-// (seq, lp, fleet) reduces through this one function in a fixed order, so
-// the pooled moments never depend on the engine or on scheduling.
+// One finalized tracker folded into a pooled accumulator. Both engines
+// (single endpoint, fleet) reduce through this one function in a fixed
+// order, so the pooled moments never depend on the engine or on
+// scheduling.
 void merge_tracker(Pooled& p, const fd::QosTracker& tracker);
 
 std::vector<FdQosResult> results_from_pooled(
@@ -99,7 +99,6 @@ struct RunOutput {
   std::uint64_t hb_delivered = 0;
   faultx::FaultyTransport::Stats chaos;  // zero when no scenario active
   fd::DetectorBank::Counters bank;       // engine counters for this run
-  sim::ParallelSimulator::Stats sim;     // zero under the sequential engine
 };
 
 // Everything one (run, shard) fleet unit produces.
@@ -113,21 +112,13 @@ struct FleetShardOutput {
   fd::FleetBank::Counters fleet;         // shard-level engine counters
 };
 
-// One self-contained seeded simulation (paper run), sequential engine.
+// One self-contained seeded simulation (paper run).
 RunOutput run_one(const QosExperimentConfig& config,
                   const std::vector<fd::FdSpec>& suite,
                   const std::shared_ptr<const std::vector<Duration>>& trace,
                   const std::shared_ptr<const faultx::FaultSchedule>& faults,
                   std::size_t run, const Rng& base_rng, TimePoint run_end,
                   ProgressState* progress);
-
-// The same run under the conservative parallel core (SimEngine::kLp).
-RunOutput run_one_lp(const QosExperimentConfig& config,
-                     const std::vector<fd::FdSpec>& suite,
-                     const std::shared_ptr<const std::vector<Duration>>& trace,
-                     const std::shared_ptr<const faultx::FaultSchedule>& faults,
-                     std::size_t run, const Rng& base_rng, TimePoint run_end,
-                     ProgressState* progress, std::size_t lp_jobs);
 
 // Shard s of S owns endpoints [begin(s), begin(s+1)): contiguous blocks,
 // remainders spread over the first shards. A pure function of (M, S).

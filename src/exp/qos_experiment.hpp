@@ -28,15 +28,6 @@
 
 namespace fdqos::exp {
 
-// Simulation engine for each run (see docs/pdes.md).
-//  kSeq: one sequential Simulator owns the whole sender+receiver stack —
-//        the reference engine.
-//  kLp:  the run is partitioned into logical processes (sender LP plus
-//        detector-shard LPs) executed by the conservative parallel core
-//        (sim/parallel_simulator.hpp). Reports are byte-identical to kSeq
-//        at every lps/lp_jobs value.
-enum class SimEngine { kSeq, kLp };
-
 struct QosExperimentConfig {
   std::size_t runs = 13;            // paper: 13 experiment runs
   std::int64_t num_cycles = 10000;  // NumCycles heartbeat cycles per run
@@ -108,25 +99,14 @@ struct QosExperimentConfig {
   // warmup end and run horizon). Empty = nominal network.
   // See docs/fault_injection.md.
   std::string chaos_scenario;
-  // Simulation engine (see SimEngine above). Under kLp each run is split
-  // into `lps` logical processes: LP0 owns the sender stack (heartbeater,
-  // crash injector, fault wrappers, link RNG draws) and LPs 1..lps-1 each
-  // own a shard of the detector suite (predictor groups are never split).
-  // lps = 1 keeps the whole stack on one LP (useful as the PDES baseline).
-  // `lp_jobs` is the worker count executing LP windows inside one run:
-  // 0 = auto (default_jobs() / outer `jobs`, at least 1), 1 = serial.
-  SimEngine sim_engine = SimEngine::kSeq;
-  std::size_t lps = 4;
-  std::size_t lp_jobs = 0;
   // Fleet mode (docs/fleet.md): monitor `endpoints` independent processes,
   // each with its own link, crash injector and full detector suite, sharded
   // over `fleet_shards` fd::FleetBank shards (contiguous endpoint blocks).
   // Endpoint e's stochastic streams derive from fleet_endpoint_seed(seed,
   // e), and endpoint 0's seed IS the experiment seed — so endpoints = 1
   // runs the exact single-endpoint path with byte-identical reports
-  // at every jobs value. Fleet mode requires SimEngine::kSeq and no
-  // record_hub: the (run, shard) units already run in parallel under
-  // `jobs`.
+  // at every jobs value. Fleet mode requires no record_hub; the
+  // (run, shard) units run in parallel under `jobs`.
   std::size_t endpoints = 1;
   // 0 = min(endpoints, exec::default_jobs()); always clamped to endpoints.
   std::size_t fleet_shards = 0;
@@ -148,8 +128,7 @@ struct QosExperimentConfig {
   // simulation order within a run (endpoint is 0 outside fleet mode).
   // Same concurrency contract as transition_probe: concurrent calls only
   // with distinct `run` (fleet: distinct (run, endpoint-shard)) values.
-  // Under SimEngine::kLp the stream fires on the sender LP in simulation
-  // order even when suspect transitions are replayed post-run. Null = off.
+  // Null = off.
   std::function<void(std::size_t run, std::size_t endpoint, TimePoint t,
                      bool crashed)>
       crash_probe;
@@ -181,13 +160,6 @@ struct QosReport {
   // 5 predictor_updates and 30 lane_updates per heartbeat).
   // Not part of any report table — flushed into the fdqos::obs registry.
   fd::DetectorBank::Counters bank;
-  // Parallel-engine coordinator counters summed over runs (all zero under
-  // kSeq). Observability only — never part of any report table or the
-  // report fingerprint; flushed into the obs registry like `bank`.
-  std::uint64_t sim_rounds = 0;            // safe-window advances
-  std::uint64_t sim_stalls = 0;            // zero-lookahead minimum grants
-  std::uint64_t sim_cross_lp_messages = 0;
-  double sim_last_window_ms = 0.0;         // widest grant, last round seen
 
   // Fleet mode only (empty/zero otherwise): per-endpoint pooled results
   // (endpoint-major; the top-level `results` pool across endpoints AND

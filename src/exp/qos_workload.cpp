@@ -1,13 +1,10 @@
 #include "exp/qos_workload.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <unordered_set>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "exec/thread_pool.hpp"
 #include "exp/chaos.hpp"
 #include "exp/report.hpp"
 #include "faultx/scenarios.hpp"
@@ -39,17 +36,6 @@ void QosWorkload::prepare() {
 
   fleet_mode_ = config_.endpoints > 1 || config_.force_fleet_engine;
   if (fleet_mode_) {
-    // Fleet runs execute as the (run, shard) grid on the sequential
-    // engine — their shards are already independent units — and the
-    // recording hub shards by run index only, so M endpoint streams would
-    // collide.
-    if (config_.sim_engine == SimEngine::kLp) {
-      std::fprintf(stderr,
-                   "fdqos: --sim-engine lp does not run fleets (--endpoints "
-                   "> 1); fleet shards already run in parallel under "
-                   "--jobs\n");
-      FDQOS_REQUIRE(!"fleet mode requires the sequential simulation engine");
-    }
     if (config_.record_hub != nullptr) {
       std::fprintf(stderr,
                    "fdqos: fleet mode cannot record traces (the recorder hub "
@@ -277,26 +263,10 @@ std::size_t QosWorkload::unit_count() const {
   return fleet_mode_ ? config_.runs * shards_ : config_.runs;
 }
 
-void QosWorkload::begin(std::size_t jobs) {
-  // LP workers nest inside the harness's unit workers; auto mode splits
-  // the hardware between the two levels so lp_jobs × jobs ≈ default_jobs().
-  if (config_.sim_engine == SimEngine::kLp) {
-    FDQOS_REQUIRE(config_.lps > 0);
-    lp_jobs_ = config_.lp_jobs != 0
-                   ? config_.lp_jobs
-                   : std::max<std::size_t>(1, exec::default_jobs() / jobs);
-  }
-}
-
 void QosWorkload::run_unit(std::size_t unit) {
   if (!fleet_mode_) {
-    outputs_[unit] =
-        config_.sim_engine == SimEngine::kLp
-            ? detail::run_one_lp(config_, suite_, trace_, faults_, unit,
-                                 *base_rng_, run_end_, progress_.get(),
-                                 lp_jobs_)
-            : detail::run_one(config_, suite_, trace_, faults_, unit,
-                              *base_rng_, run_end_, progress_.get());
+    outputs_[unit] = detail::run_one(config_, suite_, trace_, faults_, unit,
+                                     *base_rng_, run_end_, progress_.get());
     return;
   }
 
@@ -333,15 +303,6 @@ void QosWorkload::reduce_single() {
     report_.heartbeats_sent += out.hb_sent;
     report_.heartbeats_delivered += out.hb_delivered;
     report_.bank.add(out.bank);
-    report_.sim_rounds += out.sim.rounds;
-    report_.sim_stalls += out.sim.stalls;
-    report_.sim_cross_lp_messages += out.sim.cross_lp_messages;
-    if (out.sim.rounds > 0) {
-      report_.sim_last_window_ms =
-          out.sim.last_window == Duration::max()
-              ? std::numeric_limits<double>::infinity()
-              : out.sim.last_window.to_millis_double();
-    }
     if (faults_ != nullptr) {
       report_.chaos_fault_events += faults_->event_count();
       report_.chaos_dropped += out.chaos.fault_dropped;
@@ -385,7 +346,7 @@ void QosWorkload::reduce_fleet() {
         report_.chaos_duplicated += out.chaos.duplicated;
       }
     }
-    // One schedule overlays every run, as in the single-endpoint engines.
+    // One schedule overlays every run, as in the single-endpoint engine.
     if (faults_ != nullptr) {
       report_.chaos_fault_events += faults_->event_count();
     }
@@ -424,12 +385,6 @@ void QosWorkload::reduce() {
     m.bank_lane_updates.inc(report_.bank.lane_updates);
     m.bank_coalesced_timers.inc(report_.bank.coalesced_timers);
     m.bank_dispatch_errors.inc(report_.bank.dispatch_errors);
-    m.sim_safe_window_advances.inc(report_.sim_rounds);
-    m.sim_lp_stalls.inc(report_.sim_stalls);
-    m.sim_cross_lp_messages.inc(report_.sim_cross_lp_messages);
-    if (config_.sim_engine == SimEngine::kLp) {
-      m.sim_safe_window_ms.set(report_.sim_last_window_ms);
-    }
   }
 
   if (progress_ != nullptr) {

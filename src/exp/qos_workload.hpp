@@ -2,14 +2,14 @@
 //
 // This is the orchestration half of the former monolithic
 // run_qos_experiment(): config validation, suite/trace/fault-schedule
-// assembly, telemetry identity, unit mapping for the three engines
-// (seq | lp | fleet), and the ordered post-join reduction into a
+// assembly, telemetry identity, unit mapping for the two engines
+// (single endpoint | fleet), and the ordered post-join reduction into a
 // QosReport. The per-unit simulation drivers live in exp/qos_engines.hpp.
 //
 // Unit mapping (unit_count() and run_unit(u)):
-//   non-fleet   one unit per run; seq or LP engine per config.
+//   non-fleet   one unit per run (run_one).
 //   fleet       the flattened (run, shard) grid —
-//               run = u / shards, shard = u % shards (seq engine only).
+//               run = u / shards, shard = u % shards (run_fleet_shard).
 // Both reproduce the exact pool shapes (and therefore the jobs clamp) the
 // pre-refactor run loops used, so reports stay byte-identical.
 //
@@ -38,7 +38,6 @@ class QosWorkload final : public Workload {
 
   void prepare() override;
   std::size_t unit_count() const override;
-  void begin(std::size_t jobs) override;
   void run_unit(std::size_t unit) override;
   void reduce() override;
   std::vector<ReportSection> report_sections() const override;
@@ -66,8 +65,7 @@ class QosWorkload final : public Workload {
   std::optional<Rng> base_rng_;
   TimePoint run_end_ = TimePoint::origin();
   bool fleet_mode_ = false;
-  std::size_t shards_ = 1;    // fleet shard count (resolved in prepare)
-  std::size_t lp_jobs_ = 1;   // resolved in begin() from the outer jobs
+  std::size_t shards_ = 1;  // fleet shard count (resolved in prepare)
 
   std::unique_ptr<detail::ProgressState> progress_;
   std::optional<obs::RunFinalizer> run_guard_;

@@ -205,10 +205,6 @@ std::string qos_config_summary(const QosExperimentConfig& config) {
             " policy=" + wan::replay_policy_name(config.replay_policy);
   }
   if (!config.chaos_scenario.empty()) line += " chaos=" + config.chaos_scenario;
-  // The simulation engine is echoed only off its default (seq is silent).
-  if (config.sim_engine == SimEngine::kLp) {
-    line += " sim=lp lps=" + std::to_string(config.lps);
-  }
   // Fleet mode: echo only when active, so the single-endpoint summary
   // bytes stay exactly as before. The resolved shard count is echoed (like
   // jobs, it may derive from the machine; the report bytes never do).

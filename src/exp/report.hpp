@@ -68,8 +68,8 @@ std::string qos_config_summary(const QosExperimentConfig& config);
 
 // The full report rendered through every metric table plus the crash /
 // heartbeat tallies — the same bytes a user sees. Equal fingerprints mean
-// equal reports; the parallel-engine and equivalence checks
-// (bench_parallel, bench_pdes, tests/exp) all compare these.
+// equal reports; the jobs-parity and equivalence checks
+// (bench_parallel, tests/exp) all compare these.
 std::string qos_report_fingerprint(const QosReport& report);
 
 }  // namespace fdqos::exp

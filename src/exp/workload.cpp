@@ -19,7 +19,6 @@ void run_workload(Workload& workload) {
       std::min(workload.requested_jobs() == 0 ? exec::default_jobs()
                                               : workload.requested_jobs(),
                units);
-  workload.begin(jobs);
   exec::ThreadPool pool(jobs);
   pool.parallel_for(units,
                     [&workload](std::size_t unit) { workload.run_unit(unit); });

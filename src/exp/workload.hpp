@@ -20,9 +20,6 @@
 //                      worker count to it (jobs = min(requested or
 //                      default_jobs(), units)) exactly as the QoS run loop
 //                      always did.
-//   begin(jobs)        the resolved worker count, before the fan-out —
-//                      workloads that nest inner parallelism (LP workers
-//                      inside run workers) split the hardware here.
 //   run_unit(u)        one self-contained unit. Called concurrently, but
 //                      only with distinct u; a unit may touch only its own
 //                      slot of any shared output vector.
@@ -64,13 +61,12 @@ class Workload {
 
   virtual void prepare() = 0;
   virtual std::size_t unit_count() const = 0;
-  virtual void begin(std::size_t jobs) { (void)jobs; }
   virtual void run_unit(std::size_t unit) = 0;
   virtual void reduce() = 0;
   virtual std::vector<ReportSection> report_sections() const = 0;
 
   // Requested worker count (0 = exec::default_jobs()); the harness clamps
-  // it to unit_count() and reports the resolved value through begin().
+  // it to unit_count().
   virtual std::size_t requested_jobs() const = 0;
 };
 
@@ -80,9 +76,9 @@ class Workload {
 void run_workload(Workload& workload);
 
 // Name -> factory registry. Factories take the shared experiment config
-// (runs, cycles, seed, engines, chaos scenario, fleet shape, jobs) so
-// every workload inherits --scenario/--seed/--jobs/--sim-engine parity for
-// free. register_workload() replaces an existing entry with the same name.
+// (runs, cycles, seed, chaos scenario, fleet shape, jobs) so every
+// workload inherits --scenario/--seed/--jobs parity for free.
+// register_workload() replaces an existing entry with the same name.
 using WorkloadFactory =
     std::function<std::unique_ptr<Workload>(const QosExperimentConfig&)>;
 

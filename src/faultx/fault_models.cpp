@@ -22,12 +22,6 @@ Duration FaultyDelay::sample(Rng& rng, TimePoint send_time) {
   return std::max(d, Duration::zero());
 }
 
-Duration FaultyDelay::min_delay() const {
-  // sample() clamps the total at zero, so the promise never goes negative.
-  return std::max(base_->min_delay() - faults_->max_clock_advance(),
-                  Duration::zero());
-}
-
 std::unique_ptr<wan::DelayModel> FaultyDelay::make_fresh() const {
   return std::make_unique<FaultyDelay>(base_->make_fresh(), faults_);
 }

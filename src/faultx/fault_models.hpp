@@ -32,10 +32,6 @@ class FaultyDelay final : public wan::DelayModel {
               std::shared_ptr<const FaultSchedule> faults);
 
   Duration sample(Rng& rng, TimePoint send_time) override;
-  // Spikes/ramps only ever add delay; the one fault that can undercut the
-  // base floor is a forward clock jump (clock_hold < 0), bounded by
-  // FaultSchedule::max_clock_advance — shrink the promise by that much.
-  Duration min_delay() const override;
   const std::string& name() const override { return name_; }
   std::unique_ptr<wan::DelayModel> make_fresh() const override;
 

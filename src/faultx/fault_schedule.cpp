@@ -1,6 +1,5 @@
 #include "faultx/fault_schedule.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -91,21 +90,6 @@ FaultSchedule& FaultSchedule::clock_jump(TimePoint at, Duration offset) {
   jumps_.push_back({at, offset});
   clock_.add_step(at, offset);
   return *this;
-}
-
-Duration FaultSchedule::max_clock_advance() const {
-  // Walk the jumps in time order and track the running cumulative error;
-  // the answer is its highest positive excursion.
-  std::vector<ClockJump> ordered = jumps_;
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ClockJump& a, const ClockJump& b) { return a.at < b.at; });
-  Duration cumulative = Duration::zero();
-  Duration max_advance = Duration::zero();
-  for (const auto& jump : ordered) {
-    cumulative = cumulative + jump.offset;
-    max_advance = std::max(max_advance, cumulative);
-  }
-  return max_advance;
 }
 
 Duration FaultSchedule::deterministic_extra_delay(TimePoint t) const {

@@ -123,13 +123,6 @@ class FaultSchedule {
   // early, which the caller clamps at physics' floor of zero total delay).
   Duration clock_hold(TimePoint t) const { return -clock_.error_at(t); }
 
-  // Largest forward clock error ever reached (max over t of error_at(t),
-  // floored at zero). clock_hold then subtracts at most this much from any
-  // message's delay, so a link with physical floor F keeps a conservative
-  // floor of max(0, F − max_clock_advance()) under this schedule — the
-  // lookahead shrink the parallel engine applies (FaultyDelay::min_delay).
-  Duration max_clock_advance() const;
-
   // True when a partition or a flap's off-phase covers t.
   bool link_down(TimePoint t) const;
 

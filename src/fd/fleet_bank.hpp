@@ -126,8 +126,6 @@ class FleetBank final : public runtime::Layer, private DetectorBank::TimerHost {
   // (the bench reports it as bytes/endpoint).
   std::size_t memory_bytes() const;
 
-  TimePoint next_timer_deadline() const { return armed_.time(); }
-
  private:
   struct MemberDue {
     TimePoint due;

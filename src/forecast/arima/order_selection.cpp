@@ -30,7 +30,7 @@ double holdout_msqerr(ArimaModel model, std::span<const double> train,
 
 OrderSelectionResult select_arima_order(std::span<const double> series,
                                         const OrderSelectionConfig& config) {
-  FDQOS_REQUIRE(series.size() >= 32);
+  FDQOS_REQUIRE(series.size() >= kMinOrderSelectionSamples);
   FDQOS_REQUIRE(config.train_fraction > 0.0 && config.train_fraction < 1.0);
 
   const auto split = static_cast<std::size_t>(

@@ -39,6 +39,9 @@ struct OrderSelectionConfig {
   std::size_t jobs = 0;
 };
 
+// Shortest series select_arima_order accepts.
+inline constexpr std::size_t kMinOrderSelectionSamples = 32;
+
 OrderSelectionResult select_arima_order(std::span<const double> series,
                                         const OrderSelectionConfig& config = {});
 

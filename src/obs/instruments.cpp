@@ -90,26 +90,11 @@ Instruments& instruments() {
       Registry::global().counter(
           "fdqos_bank_dispatch_errors_total",
           "DetectorBank lane updates or observer callbacks that threw"),
-      Registry::global().counter(
-          "fdqos_sim_safe_window_advances_total",
-          "Safe-window rounds executed by the parallel simulation core"),
-      Registry::global().counter(
-          "fdqos_sim_lp_stalls_total",
-          "Zero-lookahead rounds where the PDES coordinator granted only "
-          "the global-minimum timestamp"),
-      Registry::global().counter(
-          "fdqos_sim_cross_lp_messages_total",
-          "Messages posted between logical processes by the parallel "
-          "simulation core"),
       Registry::global().gauge("fdqos_experiment_run",
                                "Current experiment run index (1-based)"),
       Registry::global().gauge(
           "fdqos_fd_suspecting",
           "Detectors currently suspecting the monitored process"),
-      Registry::global().gauge(
-          "fdqos_sim_safe_window_ms",
-          "Widest safe-window grant in the most recent PDES round, "
-          "milliseconds"),
   };
   return inst;
 }

@@ -68,18 +68,9 @@ struct Instruments {
   Counter& bank_coalesced_timers;   // per-detector sim events avoided
   Counter& bank_dispatch_errors;    // lane/observer callbacks that threw
 
-  // Parallel simulation core (sim/parallel_simulator.hpp), flushed once
-  // per experiment from the coordinator's tallies. Advances count safe
-  // windows executed; stalls count zero-lookahead minimum grants (see
-  // docs/pdes.md).
-  Counter& sim_safe_window_advances;
-  Counter& sim_lp_stalls;
-  Counter& sim_cross_lp_messages;
-
   // Experiment-level gauges, refreshed by the progress emitter.
-  Gauge& experiment_run;      // current run index (1-based)
-  Gauge& fd_suspecting;       // detectors currently suspecting
-  Gauge& sim_safe_window_ms;  // widest grant in the last PDES round
+  Gauge& experiment_run;  // current run index (1-based)
+  Gauge& fd_suspecting;   // detectors currently suspecting
 };
 
 // The process-wide instrument set (registered on Registry::global()).

@@ -10,11 +10,10 @@ EventHandle EventQueue::schedule(TimePoint when, EventFn fn) {
 #ifndef NDEBUG
   if (when < last_popped_) {
     std::fprintf(stderr,
-                 "fdqos: event queue '%s': event scheduled in the past "
+                 "fdqos: event queue 'sim': event scheduled in the past "
                  "(when=%s, latest executed=%s) — the scheduling layer must "
                  "never target a timestamp behind the clock\n",
-                 name_.c_str(), when.to_string().c_str(),
-                 last_popped_.to_string().c_str());
+                 when.to_string().c_str(), last_popped_.to_string().c_str());
   }
 #endif
   FDQOS_DASSERT(when >= last_popped_);

@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "common/time.hpp"
@@ -28,16 +27,12 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Diagnostic label used by the past-event debug check ("sim", "lp2/...").
-  void set_name(std::string name) { name_ = std::move(name); }
-  const std::string& name() const { return name_; }
-
   // Schedule `fn` to fire at `when`; the handle allows cancellation.
   // Debug builds abort when `when` lies behind the latest popped timestamp:
   // such an event would otherwise silently execute "in the past" on the next
   // pop, corrupting every downstream measurement. (Simulator::schedule_at
   // already rejects when < now(); this check also covers direct EventQueue
-  // users and the LP mailbox drain.)
+  // users.)
   EventHandle schedule(TimePoint when, EventFn fn);
 
   bool empty() const { return live_count_ == 0; }
@@ -77,7 +72,6 @@ class EventQueue {
       heap_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
-  std::string name_ = "sim";
   TimePoint last_popped_ = TimePoint::min();  // updated by pop()
 };
 

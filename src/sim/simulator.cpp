@@ -6,18 +6,12 @@
 
 namespace fdqos::sim {
 
-void Simulator::set_name(std::string name) {
-  name_ = std::move(name);
-  queue_.set_name(name_);
-}
-
 EventHandle Simulator::schedule_at(TimePoint when, EventFn fn) {
   if (when < now_) {
     std::fprintf(stderr,
-                 "fdqos: simulator '%s': schedule_at targets the past "
+                 "fdqos: simulator 'sim': schedule_at targets the past "
                  "(when=%s < now=%s)\n",
-                 name_.c_str(), when.to_string().c_str(),
-                 now_.to_string().c_str());
+                 when.to_string().c_str(), now_.to_string().c_str());
   }
   FDQOS_REQUIRE(when >= now_);
   return queue_.schedule(when, std::move(fn));
@@ -31,16 +25,14 @@ EventHandle Simulator::schedule_after(Duration delay, EventFn fn) {
 void Simulator::execute(EventQueue::Fired fired) {
   // The queue pops in timestamp order and schedule_at rejects past targets,
   // so a regressing event means the queue was fed behind the clock's back
-  // (e.g. a raw EventQueue::schedule or a cross-LP message that violated
-  // its channel's lookahead). Catch it here instead of silently executing
-  // the event at a time it was never scheduled for.
+  // (e.g. a raw EventQueue::schedule). Catch it here instead of silently
+  // executing the event at a time it was never scheduled for.
 #ifndef NDEBUG
   if (fired.time < now_) {
     std::fprintf(stderr,
-                 "fdqos: simulator '%s': event executes in the past "
+                 "fdqos: simulator 'sim': event executes in the past "
                  "(event time=%s, clock=%s)\n",
-                 name_.c_str(), fired.time.to_string().c_str(),
-                 now_.to_string().c_str());
+                 fired.time.to_string().c_str(), now_.to_string().c_str());
   }
 #endif
   FDQOS_DASSERT(fired.time >= now_);
@@ -59,20 +51,6 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
   // so consecutive run_until calls observe monotonic time.
   if (now_ < deadline) now_ = deadline;
   return count;
-}
-
-std::uint64_t Simulator::run_before(TimePoint bound) {
-  std::uint64_t count = 0;
-  while (!queue_.empty() && queue_.next_time() < bound) {
-    execute(queue_.pop());
-    ++count;
-  }
-  return count;
-}
-
-void Simulator::advance_to(TimePoint to) {
-  FDQOS_REQUIRE(to >= now_);
-  now_ = to;
 }
 
 std::uint64_t Simulator::run() { return run_until(TimePoint::max()); }

@@ -5,16 +5,9 @@
 // every run exactly repeatable from its seed. The same layer code also runs
 // against the real UDP transport (see net/udp_transport.hpp) — the Neko
 // property the experimental architecture depends on.
-//
-// Two engines drive this queue: the classic sequential loop below, and the
-// conservative parallel engine in parallel_simulator.hpp, whose logical
-// processes (sim/lp.hpp) each own one Simulator and advance it in safe
-// windows (run_before). Reports are byte-identical between the two; see
-// docs/pdes.md.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/time.hpp"
 #include "sim/event_queue.hpp"
@@ -29,30 +22,12 @@ class Simulator {
 
   TimePoint now() const { return now_; }
 
-  // Diagnostic label for the past-event checks ("sim" by default; LPs use
-  // "lp<i>/<role>"), so an abort names the offending simulator instance.
-  void set_name(std::string name);
-  const std::string& name() const { return name_; }
-
   EventHandle schedule_at(TimePoint when, EventFn fn);
   EventHandle schedule_after(Duration delay, EventFn fn);
 
   // Run until the queue drains or `deadline` passes (events at exactly
   // `deadline` still fire). Returns the number of events executed.
   std::uint64_t run_until(TimePoint deadline);
-
-  // Conservative-window variant: execute every event with timestamp
-  // strictly below `bound` and leave the clock at the last executed event
-  // (not at `bound` — a later safe window may still deliver events at
-  // timestamps in [now, bound)). This is the primitive the parallel engine
-  // grants one LP per safe window; see docs/pdes.md.
-  std::uint64_t run_before(TimePoint bound);
-
-  // Advance the clock with no event execution; `to` must not lie in the
-  // past. The parallel engine uses this to settle every LP's clock on the
-  // common deadline after the last window, mirroring run_until's "advance
-  // even if no event lands exactly there" contract.
-  void advance_to(TimePoint to);
 
   // Run until the queue is completely drained.
   std::uint64_t run();
@@ -64,8 +39,7 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
 
   // Timestamp of the earliest pending event; TimePoint::max() when idle.
-  // Used by the real-time driver to size its poll timeout, and by the
-  // parallel engine to compute safe-window bounds.
+  // Used by the real-time driver to size its poll timeout.
   TimePoint next_event_time() const { return queue_.next_time(); }
 
  private:
@@ -74,7 +48,6 @@ class Simulator {
   EventQueue queue_;
   TimePoint now_ = TimePoint::origin();
   std::uint64_t executed_ = 0;
-  std::string name_ = "sim";
 };
 
 }  // namespace fdqos::sim

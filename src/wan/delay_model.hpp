@@ -22,13 +22,6 @@ class DelayModel {
   // Delay for a message sent at `send_time`. Must be non-negative.
   virtual Duration sample(Rng& rng, TimePoint send_time) = 0;
 
-  // Hard lower bound on every delay sample() can ever return — the channel
-  // lookahead the conservative parallel engine derives its safe windows
-  // from (see sim/horizon.hpp and docs/pdes.md). The default, zero, is
-  // always safe (it only costs parallelism, never correctness); models with
-  // a known propagation floor override it.
-  virtual Duration min_delay() const { return Duration::zero(); }
-
   virtual const std::string& name() const = 0;
 
   // Fresh instance with identical parameters and reset state.
@@ -40,7 +33,6 @@ class ConstantDelay final : public DelayModel {
  public:
   explicit ConstantDelay(Duration d);
   Duration sample(Rng& rng, TimePoint send_time) override;
-  Duration min_delay() const override { return delay_; }
   const std::string& name() const override { return name_; }
   std::unique_ptr<DelayModel> make_fresh() const override;
 
@@ -54,7 +46,6 @@ class UniformDelay final : public DelayModel {
  public:
   UniformDelay(Duration lo, Duration hi);
   Duration sample(Rng& rng, TimePoint send_time) override;
-  Duration min_delay() const override { return lo_; }
   const std::string& name() const override { return name_; }
   std::unique_ptr<DelayModel> make_fresh() const override;
 
@@ -71,7 +62,6 @@ class ShiftedLognormalDelay final : public DelayModel {
  public:
   ShiftedLognormalDelay(Duration shift, double mu_log_ms, double sigma_log);
   Duration sample(Rng& rng, TimePoint send_time) override;
-  Duration min_delay() const override { return shift_; }
   const std::string& name() const override { return name_; }
   std::unique_ptr<DelayModel> make_fresh() const override;
 
@@ -89,7 +79,6 @@ class ShiftedGammaDelay final : public DelayModel {
  public:
   ShiftedGammaDelay(Duration shift, double shape, double scale_ms);
   Duration sample(Rng& rng, TimePoint send_time) override;
-  Duration min_delay() const override { return shift_; }
   const std::string& name() const override { return name_; }
   std::unique_ptr<DelayModel> make_fresh() const override;
 
@@ -109,10 +98,6 @@ class SpikeMixtureDelay final : public DelayModel {
                     Duration spike_scale, double spike_shape,
                     Duration spike_cap);
   Duration sample(Rng& rng, TimePoint send_time) override;
-  // The cap bounds the whole mixture, so it can undercut the base's floor.
-  Duration min_delay() const override {
-    return std::min(base_->min_delay(), spike_cap_);
-  }
   const std::string& name() const override { return name_; }
   std::unique_ptr<DelayModel> make_fresh() const override;
 

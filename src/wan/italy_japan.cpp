@@ -19,10 +19,6 @@ class ItalyJapanDelay final : public DelayModel {
     name_ = "italy-japan(ou+regimes+spikes)";
   }
 
-  Duration min_delay() const override {
-    return std::min(params_.floor, params_.spike_cap);
-  }
-
   Duration sample(Rng& rng, TimePoint send_time) override {
     const Duration offset = offsets_->sample(rng, send_time);
 

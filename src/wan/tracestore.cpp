@@ -557,7 +557,6 @@ TraceReplayDelay::TraceReplayDelay(
   std::snprintf(buf, sizeof buf, "trace(%zu,%s)", delays_->size(),
                 replay_policy_name(policy_));
   name_ = buf;
-  min_delay_ = *std::min_element(delays_->begin(), delays_->end());
 }
 
 std::unique_ptr<TraceReplayDelay> TraceReplayDelay::load(
@@ -577,12 +576,6 @@ std::shared_ptr<const std::vector<Duration>> TraceReplayDelay::load_trace_data(
   // Aliasing share: the vector lives inside (and as long as) the Trace.
   return std::shared_ptr<const std::vector<Duration>>(loaded.trace,
                                                       &loaded.trace->delays);
-}
-
-Duration TraceReplayDelay::min_delay() const {
-  // kExtend resamples the tail from a fitted model whose support is not
-  // bounded below by the trace minimum; promise nothing there.
-  return policy_ == ReplayPolicy::kExtend ? Duration::zero() : min_delay_;
 }
 
 Duration TraceReplayDelay::sample(Rng& rng, TimePoint) {

@@ -237,7 +237,6 @@ class RecordingDelay final : public DelayModel {
                  std::shared_ptr<TraceRecorderHub> hub);
 
   Duration sample(Rng& rng, TimePoint send_time) override;
-  Duration min_delay() const override { return inner_->min_delay(); }
   const std::string& name() const override { return name_; }
   std::unique_ptr<DelayModel> make_fresh() const override;
 
@@ -302,9 +301,6 @@ class TraceReplayDelay final : public DelayModel {
       const std::string& path);
 
   Duration sample(Rng& rng, TimePoint send_time) override;
-  // Minimum delay in the trace (zero under kExtend, whose fitted tail can
-  // undercut it) — the replay channel's conservative lookahead.
-  Duration min_delay() const override;
   const std::string& name() const override { return name_; }
   std::unique_ptr<DelayModel> make_fresh() const override;
 
@@ -323,7 +319,6 @@ class TraceReplayDelay final : public DelayModel {
   std::string name_;
   std::shared_ptr<const std::vector<Duration>> delays_;
   ReplayPolicy policy_;
-  Duration min_delay_ = Duration::zero();
   TraceTailModel tail_;  // fitted only for kExtend
   std::size_t next_ = 0;
   std::uint64_t overruns_ = 0;

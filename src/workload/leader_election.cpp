@@ -82,11 +82,9 @@ void LeaderElectionWorkload::reduce() {
 
   // Ordered post-join reduction (the PR 2 rule): fold run 0, 1, ... in
   // ascending order; every accumulator is integer-nanosecond Durations or
-  // counters, so the pooled scores are independent of --jobs, engine and
-  // scheduling. Per-lane transition streams arrive time-ordered from both
-  // engines (the LP engine groups them by lane but keeps lane order); the
-  // crash/transition merge below uses the engines' crash-first tie rule,
-  // so seq and lp runs score identically by construction.
+  // counters, so the pooled scores are independent of --jobs and
+  // scheduling. Per-lane transition streams arrive time-ordered; the
+  // crash/transition merge below breaks equal timestamps crash-first.
   for (std::size_t run = 0; run < config.runs; ++run) {
     const RunCapture& capture = captures_[run];
 
@@ -115,7 +113,7 @@ void LeaderElectionWorkload::reduce() {
     }
 
     // Bucket the run's transitions by lane (already time-ordered within a
-    // lane under both engines).
+    // lane).
     std::vector<std::vector<const Transition*>> by_lane(suite.size());
     for (const Transition& tr : capture.transitions) {
       FDQOS_REQUIRE(tr.detector < suite.size());

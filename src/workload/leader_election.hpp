@@ -23,11 +23,11 @@
 //
 // The workload embeds a QosWorkload and taps its engines through the
 // transition/crash probe hooks, so it inherits every execution mode —
-// seeds, chaos scenarios, tracestore replay, seq|lp engines, any --jobs —
-// and its report carries the full detector-QoS report alongside the
-// application scores. Scoring replays the captured per-run streams with
-// the same per-lane two-stream merge and crash-first tie rule the LP
-// engine uses, so the report is byte-identical across engines and jobs.
+// seeds, chaos scenarios, tracestore replay, any --jobs — and its report
+// carries the full detector-QoS report alongside the application scores.
+// Scoring replays the captured per-run streams with a per-lane two-stream
+// merge and a crash-first tie rule, so the report is byte-identical
+// across jobs.
 //
 // Fleet mode is rejected: leader election is defined over the two-node
 // topology (endpoints > 1 has no single preferred leader).
@@ -74,7 +74,6 @@ class LeaderElectionWorkload final : public exp::Workload {
 
   void prepare() override;
   std::size_t unit_count() const override { return qos_.unit_count(); }
-  void begin(std::size_t jobs) override { qos_.begin(jobs); }
   void run_unit(std::size_t unit) override { qos_.run_unit(unit); }
   void reduce() override;
   std::vector<exp::ReportSection> report_sections() const override;

@@ -10,7 +10,8 @@
 // per-(run, lane) transition streams. The bank now has to reproduce them
 // alone. The chaos golden CSVs pin the same property at other scales, and
 // tests/fd/freshness_oracle_test.cpp checks the bank's semantics against
-// an independent reference detector.
+// an independent reference detector. A last check runs the paper suite
+// with no predictor shared and demands the shared suite's bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 
 #include "exp/qos_experiment.hpp"
 #include "exp/report.hpp"
+#include "fd/suite.hpp"
 
 namespace fdqos::exp {
 namespace {
@@ -187,6 +189,35 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
              (scenario.empty() ? "nominal" : scenario);
     });
+
+// The paper suite with every predictor_key cleared: no predictor is shared,
+// so every lane is its own group — the layout the retired per-spec engine
+// had. Unshared predictors must behave exactly like shared ones, at every
+// jobs value.
+TEST(UnsharedPredictorsTest, PaperSuiteMatchesSharedSuite) {
+  QosExperimentConfig shared;
+  shared.runs = 2;
+  shared.num_cycles = 300;
+  shared.seed = 11;
+  shared.mttc = Duration::seconds(120);
+  shared.ttr = Duration::seconds(20);
+  shared.warmup = Duration::seconds(30);
+  shared.jobs = 1;
+  const std::string reference =
+      qos_report_fingerprint(run_qos_experiment(shared));
+
+  QosExperimentConfig unshared = shared;
+  unshared.include_paper_suite = false;
+  unshared.extra_specs = fd::make_paper_suite(unshared.params);
+  for (auto& spec : unshared.extra_specs) spec.predictor_key.clear();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    unshared.jobs = jobs;
+    const QosReport report = run_qos_experiment(unshared);
+    EXPECT_EQ(qos_report_fingerprint(report), reference) << "jobs " << jobs;
+    // One group per lane: nothing was shared.
+    EXPECT_EQ(report.bank.predictor_updates, report.bank.lane_updates);
+  }
+}
 
 }  // namespace
 }  // namespace fdqos::exp

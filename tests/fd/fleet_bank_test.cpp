@@ -7,7 +7,7 @@
 // The matrix pins seeds {7, 11, 13} × {nominal, spike_storm, burst_loss}
 // at shards {1, 4, 7}, plus jobs = 1 ≡ jobs = 8 and the M = 1 identity (a
 // forced 1-endpoint fleet reproduces the plain engine's bytes at every
-// jobs value); an LP-engine fleet is rejected.
+// jobs value).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -157,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(
              (scenario.empty() ? "nominal" : scenario);
     });
 
-// The fleet engine is jobs-invariant (the seq engine parallelizes over a
-// flattened (run, shard) grid; the merge happens in deterministic order).
+// The fleet engine is jobs-invariant (it parallelizes over a flattened
+// (run, shard) grid; the merge happens in deterministic order).
 TEST(FleetParallelismTest, JobsInvariant) {
   QosExperimentConfig config = base_config(7, "burst_loss");
   config.runs = 2;
@@ -175,20 +175,6 @@ TEST(FleetParallelismTest, JobsInvariant) {
 
   EXPECT_EQ(qos_report_fingerprint(serial), qos_report_fingerprint(parallel));
   EXPECT_EQ(serial_capture.streams, parallel_capture.streams);
-}
-
-// Fleets run only on the sequential engine: their (run, shard) units
-// already run in parallel under `jobs`, so an LP-engine fleet is rejected
-// before any run starts.
-TEST(FleetParallelismDeathTest, LpEngineIsRejected) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  QosExperimentConfig config = base_config(7, "");
-  config.endpoints = 5;
-  config.sim_engine = SimEngine::kLp;
-  EXPECT_DEATH(run_qos_experiment(config), "--sim-engine lp does not run");
-  config.endpoints = 1;
-  config.force_fleet_engine = true;
-  EXPECT_DEATH(run_qos_experiment(config), "--sim-engine lp does not run");
 }
 
 // M = 1 identity: a forced 1-endpoint fleet reports byte-identically to the

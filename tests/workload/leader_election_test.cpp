@@ -1,7 +1,7 @@
 // LeaderElectionWorkload contracts (ISSUE 9): the scores are a pure
-// function of (seed, config) — identical across seeds x sim engines x job
-// counts — and the structural invariants hold in both regimes the chaos
-// harness distinguishes: nominal-no-crash (leaderless and failovers must
+// function of (seed, config) — identical across seeds x job counts — and
+// the structural invariants hold in both regimes the chaos harness
+// distinguishes: nominal-no-crash (leaderless and failovers must
 // be exactly zero) and crashing (every detected outage's leaderless time
 // is bounded by the detector's pooled T_D sum).
 #include <gtest/gtest.h>
@@ -16,18 +16,13 @@
 namespace fdqos::workload {
 namespace {
 
-exp::QosExperimentConfig small_config(std::uint64_t seed,
-                                      exp::SimEngine engine,
-                                      std::size_t jobs) {
+exp::QosExperimentConfig small_config(std::uint64_t seed, std::size_t jobs) {
   exp::QosExperimentConfig config;
   config.runs = 2;
   config.num_cycles = 400;
   config.seed = seed;
   config.mttc = Duration::seconds(90);
   config.ttr = Duration::seconds(20);
-  config.sim_engine = engine;
-  config.lps = 4;
-  config.lp_jobs = 2;
   config.jobs = jobs;
   return config;
 }
@@ -40,20 +35,12 @@ LeaderReport run_leader(const exp::QosExperimentConfig& config) {
 
 TEST(LeaderElectionTest, FingerprintMatrixAcrossSeedsEnginesJobs) {
   for (const std::uint64_t seed : {7ull, 11ull, 13ull}) {
-    const std::string baseline = leader_report_fingerprint(
-        run_leader(small_config(seed, exp::SimEngine::kSeq, 1)));
+    const std::string baseline =
+        leader_report_fingerprint(run_leader(small_config(seed, 1)));
     ASSERT_FALSE(baseline.empty());
-    for (const exp::SimEngine engine :
-         {exp::SimEngine::kSeq, exp::SimEngine::kLp}) {
-      for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-        if (engine == exp::SimEngine::kSeq && jobs == 1) continue;
-        EXPECT_EQ(baseline, leader_report_fingerprint(
-                                run_leader(small_config(seed, engine, jobs))))
-            << "seed " << seed << " engine "
-            << (engine == exp::SimEngine::kLp ? "lp" : "seq") << " jobs "
-            << jobs;
-      }
-    }
+    EXPECT_EQ(baseline,
+              leader_report_fingerprint(run_leader(small_config(seed, 8))))
+        << "seed " << seed << " jobs 8";
   }
 }
 
@@ -61,12 +48,10 @@ TEST(LeaderElectionTest, ChaosScenarioComposesAndStaysDeterministic) {
   // The workload inherits faultx scenarios from the embedded QosWorkload;
   // the determinism and invariant contracts must survive a hostile
   // network.
-  exp::QosExperimentConfig config =
-      small_config(7, exp::SimEngine::kSeq, 1);
+  exp::QosExperimentConfig config = small_config(7, 1);
   config.chaos_scenario = "burst_loss";
   const LeaderReport serial = run_leader(config);
   config.jobs = 8;
-  config.sim_engine = exp::SimEngine::kLp;
   const LeaderReport parallel = run_leader(config);
   EXPECT_EQ(leader_report_fingerprint(serial),
             leader_report_fingerprint(parallel));
@@ -74,8 +59,7 @@ TEST(LeaderElectionTest, ChaosScenarioComposesAndStaysDeterministic) {
 }
 
 TEST(LeaderElectionTest, CrashRegimeScoresAndInvariants) {
-  const LeaderReport report =
-      run_leader(small_config(7, exp::SimEngine::kSeq, 1));
+  const LeaderReport report = run_leader(small_config(7, 1));
   ASSERT_GT(report.qos.total_crashes, 0u);
   ASSERT_FALSE(report.lanes.empty());
   ASSERT_EQ(report.lanes.size(), report.qos.results.size());
@@ -105,8 +89,7 @@ TEST(LeaderElectionTest, NoCrashNominalIsNeverLeaderless) {
   // dies: any leaderless time or failover would be a scoring bug. Wrongful
   // failovers (wrong_leader_ms, flaps) may still occur — that is the
   // detector's accuracy cost, not a workload bug.
-  exp::QosExperimentConfig config =
-      small_config(3, exp::SimEngine::kSeq, 1);
+  exp::QosExperimentConfig config = small_config(3, 1);
   config.mttc = Duration::seconds(50000000);
   const LeaderReport report = run_leader(config);
   ASSERT_EQ(report.qos.total_crashes, 0u);
@@ -120,7 +103,7 @@ TEST(LeaderElectionTest, NoCrashNominalIsNeverLeaderless) {
 }
 
 TEST(LeaderElectionTest, InvariantCheckerFlagsCorruptReports) {
-  LeaderReport report = run_leader(small_config(7, exp::SimEngine::kSeq, 1));
+  LeaderReport report = run_leader(small_config(7, 1));
   ASSERT_TRUE(leader_invariant_violations(report).empty());
   // Corrupt one lane past each bound and expect the matching verdicts.
   report.lanes[0].leaderless_ms = report.downtime_ms + 1000.0;
@@ -135,8 +118,7 @@ TEST(LeaderElectionTest, InvariantCheckerFlagsCorruptReports) {
 
 TEST(LeaderElectionTest, RegistryFactoryBuildsTheWorkload) {
   register_builtin_workloads();
-  const exp::QosExperimentConfig config =
-      small_config(11, exp::SimEngine::kSeq, 2);
+  const exp::QosExperimentConfig config = small_config(11, 2);
   std::unique_ptr<exp::Workload> named =
       exp::make_workload("leader-election", config);
   ASSERT_NE(named, nullptr);
@@ -145,8 +127,7 @@ TEST(LeaderElectionTest, RegistryFactoryBuildsTheWorkload) {
   auto* leader = dynamic_cast<LeaderElectionWorkload*>(named.get());
   ASSERT_NE(leader, nullptr);
   EXPECT_EQ(leader_report_fingerprint(leader->report()),
-            leader_report_fingerprint(
-                run_leader(small_config(11, exp::SimEngine::kSeq, 1))));
+            leader_report_fingerprint(run_leader(small_config(11, 1))));
   // The leader table leads the section list; the full detector-QoS report
   // follows in its fixed order.
   const auto sections = named->report_sections();
@@ -156,7 +137,7 @@ TEST(LeaderElectionTest, RegistryFactoryBuildsTheWorkload) {
 }
 
 TEST(LeaderElectionDeathTest, FleetModeIsRejected) {
-  exp::QosExperimentConfig config = small_config(7, exp::SimEngine::kSeq, 1);
+  exp::QosExperimentConfig config = small_config(7, 1);
   config.endpoints = 4;
   config.fleet_shards = 2;
   LeaderElectionWorkload workload(config);

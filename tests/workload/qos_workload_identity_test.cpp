@@ -1,7 +1,7 @@
 // Identity contract of the Workload refactor (ISSUE 9): splitting
 // QosExperiment into the run_workload() harness + QosWorkload must not
 // change a single byte of the report. The matrix pins the refactored path
-// against itself across seeds x sim engines x job counts (the fingerprint
+// against itself across seeds x job counts (the fingerprint
 // folds every rendered table, so equal fingerprints mean equal stdout),
 // and pins the run_qos_experiment() facade against driving the workload
 // object by hand through the registry.
@@ -19,15 +19,11 @@
 namespace fdqos::exp {
 namespace {
 
-QosExperimentConfig small_config(std::uint64_t seed, SimEngine engine,
-                                 std::size_t jobs) {
+QosExperimentConfig small_config(std::uint64_t seed, std::size_t jobs) {
   QosExperimentConfig config;
   config.runs = 2;
   config.num_cycles = 500;
   config.seed = seed;
-  config.sim_engine = engine;
-  config.lps = 4;
-  config.lp_jobs = 2;
   config.jobs = jobs;
   return config;
 }
@@ -39,44 +35,31 @@ std::string fingerprint_for(const QosExperimentConfig& config) {
 
 TEST(QosWorkloadIdentityTest, FingerprintMatrixAcrossSeedsEnginesJobs) {
   for (const std::uint64_t seed : {7ull, 11ull, 13ull}) {
-    const std::string baseline =
-        fingerprint_for(small_config(seed, SimEngine::kSeq, 1));
+    const std::string baseline = fingerprint_for(small_config(seed, 1));
     ASSERT_FALSE(baseline.empty());
-    for (const SimEngine engine : {SimEngine::kSeq, SimEngine::kLp}) {
-      for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-        if (engine == SimEngine::kSeq && jobs == 1) continue;
-        EXPECT_EQ(baseline, fingerprint_for(small_config(seed, engine, jobs)))
-            << "seed " << seed << " engine "
-            << (engine == SimEngine::kLp ? "lp" : "seq") << " jobs " << jobs;
-      }
-    }
+    EXPECT_EQ(baseline, fingerprint_for(small_config(seed, 8)))
+        << "seed " << seed << " jobs 8";
   }
 }
 
 TEST(QosWorkloadIdentityTest, ChaosScenarioMatrixAcrossEnginesJobs) {
   // The same identity under a faultx scenario: the chaos run path goes
   // through the identical workload, so scenario runs must hold the
-  // jobs/engine byte-identity too (this is what keeps the chaos goldens
-  // valid after the refactor).
+  // jobs byte-identity too (this is what keeps the chaos goldens valid
+  // after the refactor).
   for (const std::uint64_t seed : {7ull, 13ull}) {
-    QosExperimentConfig base = small_config(seed, SimEngine::kSeq, 1);
+    QosExperimentConfig base = small_config(seed, 1);
     base.chaos_scenario = "burst_loss";
     const std::string baseline = fingerprint_for(base);
-    for (const SimEngine engine : {SimEngine::kSeq, SimEngine::kLp}) {
-      for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-        if (engine == SimEngine::kSeq && jobs == 1) continue;
-        QosExperimentConfig config = small_config(seed, engine, jobs);
-        config.chaos_scenario = "burst_loss";
-        EXPECT_EQ(baseline, fingerprint_for(config))
-            << "seed " << seed << " engine "
-            << (engine == SimEngine::kLp ? "lp" : "seq") << " jobs " << jobs;
-      }
-    }
+    QosExperimentConfig config = small_config(seed, 8);
+    config.chaos_scenario = "burst_loss";
+    EXPECT_EQ(baseline, fingerprint_for(config))
+        << "seed " << seed << " jobs 8";
   }
 }
 
 TEST(QosWorkloadIdentityTest, FacadeHarnessAndRegistryAgree) {
-  const QosExperimentConfig config = small_config(11, SimEngine::kSeq, 2);
+  const QosExperimentConfig config = small_config(11, 2);
 
   // The legacy facade (what `fdqos qos` calls).
   const std::string via_facade = qos_report_fingerprint(
@@ -111,7 +94,7 @@ TEST(QosWorkloadIdentityTest, RegistryListsBuiltinsAndRejectsUnknown) {
 TEST(QosWorkloadIdentityTest, SectionOrderIsFixed) {
   // Report sections are part of the determinism contract: same titles, in
   // the same order, at any job count.
-  QosExperimentConfig config = small_config(7, SimEngine::kSeq, 1);
+  QosExperimentConfig config = small_config(7, 1);
   config.chaos_scenario = "burst_loss";
   QosWorkload serial(config);
   run_workload(serial);

@@ -22,7 +22,6 @@
 // with the experiment knobs exposed as flags instead of env vars.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -67,7 +66,7 @@ int usage() {
                "  workload     run a named application workload over the\n"
                "               detector grid (--name leader-election|qos,\n"
                "               --list to enumerate; same --scenario/--seed/\n"
-               "               --jobs/--sim-engine knobs as qos/chaos; see\n"
+               "               --jobs knobs as qos/chaos; see\n"
                "               docs/workloads.md)\n"
                "  accuracy     reproduce the Table 3 experiment\n"
                "  link         characterize the WAN model (Table 4)\n"
@@ -93,13 +92,9 @@ int usage() {
                "one JSON object per --progress line)\n"
                "qos/accuracy/order-select take --jobs N (worker threads;\n"
                "default = cores, 1 = serial, output identical at every N)\n"
-               "qos/chaos/replay take --sim-engine seq|lp (lp = conservative\n"
-               "parallel simulation core, --lps N logical processes and\n"
-               "--lp-jobs N workers per run; env FDQOS_SIM_ENGINE sets the\n"
-               "default — reports are byte-identical at every setting)\n"
                "qos/chaos take --endpoints M (fleet mode: M independent\n"
-               "monitored endpoints on one fd::FleetBank per shard; seq\n"
-               "engine only) and --shards S (0 = auto; see docs/fleet.md)\n"
+               "monitored endpoints on one fd::FleetBank per shard) and\n"
+               "--shards S (0 = auto; see docs/fleet.md)\n"
                "see docs/tracestore.md for the record/replay walkthrough\n"
                "run `fdqos <command> --help` is not needed: unknown flags "
                "are listed on error\n");
@@ -144,63 +139,37 @@ bool parse_counts(const ArgParser& args, exp::QosExperimentConfig& config) {
   return true;
 }
 
-// --sim-engine seq|lp and --lps N (qos + chaos + replay). seq runs each
-// simulation on one sequential Simulator; lp partitions it across logical
-// processes on the conservative parallel core (docs/pdes.md). Reports are
-// byte-identical either way. The FDQOS_SIM_ENGINE environment variable
-// supplies the default when the flag is absent (so whole ctest/CI suites
-// can be steered onto the lp engine without touching every invocation).
-bool parse_sim_engine(const ArgParser& args, exp::QosExperimentConfig& config) {
-  std::string engine = args.get_string("--sim-engine", "");
-  if (engine.empty()) {
-    const char* env = std::getenv("FDQOS_SIM_ENGINE");
-    engine = env != nullptr ? env : "seq";
-  }
-  if (engine == "seq") {
-    config.sim_engine = exp::SimEngine::kSeq;
-  } else if (engine == "lp") {
-    config.sim_engine = exp::SimEngine::kLp;
-  } else {
-    std::fprintf(stderr,
-                 "fdqos: unknown sim engine '%s' (want seq|lp; flag "
-                 "--sim-engine or env FDQOS_SIM_ENGINE)\n",
-                 engine.c_str());
-    return false;
-  }
-  const auto lps = parse_count(args, "--lps", 4, 1);
-  const auto lp_jobs = parse_count(args, "--lp-jobs", 0, 0);
-  if (!lps || !lp_jobs) return false;
-  config.lps = static_cast<std::size_t>(*lps);
-  config.lp_jobs = static_cast<std::size_t>(*lp_jobs);
+// --eta-ms, --mttc-s and --ttr-s (qos + chaos + replay + workload), in
+// whole milliseconds / seconds; the verb's defaults are whatever `config`
+// already holds. The heartbeater needs eta > 0 and the crash injector
+// mttc > 0 and ttr >= 0; both abort on a broken precondition, so reject
+// such a value here, naming the flag.
+bool parse_timing(const ArgParser& args, exp::QosExperimentConfig& config) {
+  constexpr std::int64_t kNanosPerMilli = 1'000'000;
+  constexpr std::int64_t kNanosPerSecond = 1'000'000'000;
+  const auto eta = parse_count(args, "--eta-ms",
+                               config.eta.count_nanos() / kNanosPerMilli, 1);
+  const auto mttc = parse_count(
+      args, "--mttc-s", config.mttc.count_nanos() / kNanosPerSecond, 1);
+  const auto ttr = parse_count(args, "--ttr-s",
+                               config.ttr.count_nanos() / kNanosPerSecond, 0);
+  if (!eta || !mttc || !ttr) return false;
+  config.eta = Duration::millis(*eta);
+  config.mttc = Duration::seconds(*mttc);
+  config.ttr = Duration::seconds(*ttr);
   return true;
 }
 
 // --endpoints M and --shards S (qos + chaos): fleet mode, M independent
 // monitored endpoints sharded over S fd::FleetBank shards (docs/fleet.md).
 // M = 1 (the default) is the exact single-endpoint experiment; --shards 0
-// picks min(endpoints, hardware jobs). Runs after parse_sim_engine: a
-// fleet runs its (run, shard) grid on the sequential engine only.
+// picks min(endpoints, hardware jobs).
 bool parse_fleet(const ArgParser& args, exp::QosExperimentConfig& config) {
-  const std::int64_t endpoints = args.get_int("--endpoints", 1);
-  if (endpoints < 1) {
-    std::fprintf(stderr, "fdqos: --endpoints must be >= 1 (got %lld)\n",
-                 static_cast<long long>(endpoints));
-    return false;
-  }
-  config.endpoints = static_cast<std::size_t>(endpoints);
-  const std::int64_t shards = args.get_int("--shards", 0);
-  if (shards < 0) {
-    std::fprintf(stderr, "fdqos: --shards must be >= 0 (got %lld)\n",
-                 static_cast<long long>(shards));
-    return false;
-  }
-  config.fleet_shards = static_cast<std::size_t>(shards);
-  if (config.endpoints > 1 && config.sim_engine == exp::SimEngine::kLp) {
-    std::fprintf(stderr,
-                 "fdqos: --sim-engine lp does not run fleets (--endpoints "
-                 "> 1); fleet shards already run in parallel under --jobs\n");
-    return false;
-  }
+  const auto endpoints = parse_count(args, "--endpoints", 1, 1);
+  const auto shards = parse_count(args, "--shards", 0, 0);
+  if (!endpoints || !shards) return false;
+  config.endpoints = static_cast<std::size_t>(*endpoints);
+  config.fleet_shards = static_cast<std::size_t>(*shards);
   return true;
 }
 
@@ -323,18 +292,15 @@ struct ObsSession {
 int cmd_qos_impl(const ArgParser& args, bool require_trace) {
   exp::QosExperimentConfig config;  // paper defaults: 13 x 10000 cycles
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  config.eta = Duration::millis(args.get_int("--eta-ms", 1000));
-  config.mttc = Duration::seconds(args.get_int("--mttc-s", 300));
-  config.ttr = Duration::seconds(args.get_int("--ttr-s", 30));
   config.include_constant_baseline = args.get_flag("--baselines");
   config.trace_path = args.get_string("--trace", "");
   if (!parse_counts(args, config)) return 2;
+  if (!parse_timing(args, config)) return 2;
   if (require_trace && config.trace_path.empty()) {
     std::fprintf(stderr, "fdqos replay: --trace FILE required "
                          "(record one with `fdqos record`)\n");
     return 2;
   }
-  if (!parse_sim_engine(args, config)) return 2;
   if (!parse_fleet(args, config)) return 2;
   if (!parse_policy(args, config)) return 2;
   if (!config.trace_path.empty()) {
@@ -413,11 +379,10 @@ int cmd_chaos(const ArgParser& args) {
   config.runs = 3;
   config.num_cycles = 1200;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 7));
-  config.eta = Duration::millis(args.get_int("--eta-ms", 1000));
-  config.mttc = Duration::seconds(args.get_int("--mttc-s", 120));
-  config.ttr = Duration::seconds(args.get_int("--ttr-s", 25));
+  config.mttc = Duration::seconds(120);
+  config.ttr = Duration::seconds(25);
   if (!parse_counts(args, config)) return 2;
-  if (!parse_sim_engine(args, config)) return 2;
+  if (!parse_timing(args, config)) return 2;
   if (!parse_fleet(args, config)) return 2;
   const std::string metric = args.get_string("--metric", "all");
   const std::string csv = args.get_string("--csv", "");
@@ -490,7 +455,7 @@ int cmd_chaos(const ArgParser& args) {
 }
 
 // Run a named exp::Workload over the detector grid. The flags mirror
-// qos/chaos exactly (--scenario/--seed/--jobs/--sim-engine/--endpoints all
+// qos/chaos exactly (--scenario/--seed/--jobs/--endpoints all
 // work for any workload, because every factory takes the shared
 // QosExperimentConfig), and the stdout contract is the same: every section
 // is a pure function of (workload, seed, config), never of --jobs. For
@@ -512,13 +477,12 @@ int cmd_workload(const ArgParser& args) {
   config.runs = 3;
   config.num_cycles = 1200;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 7));
-  config.eta = Duration::millis(args.get_int("--eta-ms", 1000));
-  config.mttc = Duration::seconds(args.get_int("--mttc-s", 120));
-  config.ttr = Duration::seconds(args.get_int("--ttr-s", 25));
+  config.mttc = Duration::seconds(120);
+  config.ttr = Duration::seconds(25);
   config.trace_path = args.get_string("--trace", "");
   const std::string name = args.get_string("--name", "");
   if (!parse_counts(args, config)) return 2;
-  if (!parse_sim_engine(args, config)) return 2;
+  if (!parse_timing(args, config)) return 2;
   if (!parse_fleet(args, config)) return 2;
   if (!parse_policy(args, config)) return 2;
   const std::string csv = args.get_string("--csv", "");
@@ -839,9 +803,12 @@ int cmd_serve(const ArgParser& args) {
 
 int cmd_accuracy(const ArgParser& args) {
   exp::AccuracyExperimentConfig config;
-  config.n_oneway = static_cast<std::size_t>(args.get_int("--n", 100000));
+  const auto n = parse_count(args, "--n", 100000, 1);
+  const auto jobs = parse_count(args, "--jobs", 0, 0);
+  if (!n || !jobs) return 2;
+  config.n_oneway = static_cast<std::size_t>(*n);
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  config.jobs = static_cast<std::size_t>(args.get_int("--jobs", 0));
+  config.jobs = static_cast<std::size_t>(*jobs);
   const std::string csv = args.get_string("--csv", "");
   ObsSession obs_session = ObsSession::from_args(args);
   config.progress_interval_s = obs_session.progress_s;
@@ -863,30 +830,46 @@ int cmd_accuracy(const ArgParser& args) {
 }
 
 int cmd_link(const ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.get_int("--n", 500000));
+  const auto n = parse_count(args, "--n", 500000, 1);
+  if (!n) return 2;
   Rng rng(static_cast<std::uint64_t>(args.get_int("--seed", 42)));
   if (const int rc = check_unknown(args); rc != 0) return rc;
 
   auto delay = wan::make_italy_japan_delay();
   auto loss = wan::make_italy_japan_loss();
-  const auto link =
-      wan::measure_link(*delay, *loss, n, Duration::seconds(1), rng);
+  const auto link = wan::measure_link(
+      *delay, *loss, static_cast<std::size_t>(*n), Duration::seconds(1), rng);
   std::printf("%s", exp::link_table(link).to_ascii().c_str());
   return 0;
 }
 
 int cmd_order_select(const ArgParser& args) {
+  const auto n = parse_count(args, "--n", 20000, 1);
+  const auto pmax = parse_count(args, "--pmax", 3, 0);
+  const auto dmax = parse_count(args, "--dmax", 2, 0);
+  const auto qmax = parse_count(args, "--qmax", 3, 0);
+  const auto jobs = parse_count(args, "--jobs", 0, 0);
+  if (!n || !pmax || !dmax || !qmax || !jobs) return 2;
   exp::AccuracyExperimentConfig acc;
-  acc.n_oneway = static_cast<std::size_t>(args.get_int("--n", 20000));
+  acc.n_oneway = static_cast<std::size_t>(*n);
   acc.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
   forecast::OrderSelectionConfig selection;
-  selection.max_order.p = static_cast<std::size_t>(args.get_int("--pmax", 3));
-  selection.max_order.d = static_cast<std::size_t>(args.get_int("--dmax", 2));
-  selection.max_order.q = static_cast<std::size_t>(args.get_int("--qmax", 3));
-  selection.jobs = static_cast<std::size_t>(args.get_int("--jobs", 0));
+  selection.max_order.p = static_cast<std::size_t>(*pmax);
+  selection.max_order.d = static_cast<std::size_t>(*dmax);
+  selection.max_order.q = static_cast<std::size_t>(*qmax);
+  selection.jobs = static_cast<std::size_t>(*jobs);
   if (const int rc = check_unknown(args); rc != 0) return rc;
 
   const auto series = exp::generate_delay_series(acc);
+  // Lost heartbeats leave no delay, so the series can fall short of --n.
+  if (series.size() < forecast::kMinOrderSelectionSamples) {
+    std::fprintf(stderr,
+                 "fdqos order-select: --n %lld yields %zu delays; the order "
+                 "search needs >= %zu\n",
+                 static_cast<long long>(*n), series.size(),
+                 forecast::kMinOrderSelectionSamples);
+    return 2;
+  }
   const auto result = forecast::select_arima_order(series, selection);
   std::printf("best order on %zu delays: %s (holdout msqerr %.3f ms^2)\n",
               series.size(), result.best.to_string().c_str(),
