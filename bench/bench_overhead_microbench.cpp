@@ -107,6 +107,23 @@ void BM_SimulatorTimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+void BM_SimulatorReschedule(benchmark::State& state) {
+  // The same re-arm done in place: one armed timer among 64 pending events
+  // moves to a new deadline on every iteration (one heap sift).
+  sim::Simulator simulator;
+  for (int i = 0; i < 64; ++i) {
+    simulator.schedule_after(Duration::seconds(1800 + i), [] {});
+  }
+  sim::EventHandle handle =
+      simulator.schedule_after(Duration::seconds(3600), [] {});
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.reschedule(
+        handle, TimePoint::origin() + Duration::seconds(1790 + (i++ & 127))));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 // Instrumentation cost envelope. obs/span_disabled is what every hot path
 // pays when observability is off (the acceptance bar: not measurable next
 // to a predictor update); the enabled variants show the opt-in cost.
@@ -282,6 +299,7 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("simulator/event_throughput",
                                BM_SimulatorEventThroughput);
   benchmark::RegisterBenchmark("simulator/timer_churn", BM_SimulatorTimerChurn);
+  benchmark::RegisterBenchmark("simulator/reschedule", BM_SimulatorReschedule);
   benchmark::RegisterBenchmark("obs/span_disabled", BM_ObsSpanDisabled);
   benchmark::RegisterBenchmark("obs/counter_inc", BM_ObsCounterInc);
   benchmark::RegisterBenchmark("obs/span_enabled", BM_ObsSpanEnabled);

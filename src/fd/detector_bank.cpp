@@ -248,12 +248,16 @@ void DetectorBank::arm_at(TimePoint front) {
     return;
   }
   // Solo: the armed event always sits at the earliest live due, so it
-  // moves when a row undercuts it, when it fires, and when a heartbeat
-  // kills its row (O(1) tombstone cancel).
+  // moves (in place) when a row undercuts it or a heartbeat kills its row,
+  // is re-armed after it fires, and is cancelled only when no due is left.
   if (armed_.time() == front) return;
-  armed_.cancel();
-  if (front == TimePoint::max()) return;
-  armed_ = simulator_.schedule_at(front, [this] { timer_fired(); });
+  if (front == TimePoint::max()) {
+    armed_.cancel();
+    return;
+  }
+  if (!simulator_.reschedule(armed_, front)) {
+    armed_ = simulator_.schedule_at(front, [this] { timer_fired(); });
+  }
 }
 
 void DetectorBank::timer_fired() { arm_at(fire_due(simulator_.now())); }

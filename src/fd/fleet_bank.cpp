@@ -103,11 +103,12 @@ void FleetBank::member_deadline_changed(std::size_t member, TimePoint due) {
 void FleetBank::arm() {
   if (due_heap_.empty()) return;
   const TimePoint front = due_heap_.front().due;
-  // One armed event per shard; re-arm only when the front undercuts it
-  // (tombstone cancel), exactly the member banks' own rule.
+  // One armed event per shard; it moves (in place) only when the front
+  // undercuts it, and is re-armed after it fires.
   if (armed_.time() <= front) return;
-  armed_.cancel();
-  armed_ = simulator_.schedule_at(front, [this] { fired(); });
+  if (!simulator_.reschedule(armed_, front)) {
+    armed_ = simulator_.schedule_at(front, [this] { fired(); });
+  }
 }
 
 void FleetBank::fired() {

@@ -12,9 +12,12 @@
 #include "stats/autocorrelation.hpp"
 
 namespace fdqos::forecast {
+namespace {
 
-double replay_msqerr(ArimaModel model, std::span<const double> series,
-                     std::size_t warmup) {
+// replay_msqerr on `model` itself: afterwards `model` is primed on `series`,
+// exactly as after model.prime(series), because forecast() is const.
+double prime_and_score(ArimaModel& model, std::span<const double> series,
+                       std::size_t warmup = 10) {
   model.prime({});
   double ss = 0.0;
   std::size_t scored = 0;
@@ -29,6 +32,13 @@ double replay_msqerr(ArimaModel model, std::span<const double> series,
   if (scored == 0) return std::numeric_limits<double>::infinity();
   const double msq = ss / static_cast<double>(scored);
   return std::isfinite(msq) ? msq : std::numeric_limits<double>::infinity();
+}
+
+}  // namespace
+
+double replay_msqerr(ArimaModel model, std::span<const double> series,
+                     std::size_t warmup) {
+  return prime_and_score(model, series, warmup);
 }
 
 bool coefficients_admissible(const ArimaCoefficients& coeffs) {
@@ -86,8 +96,10 @@ void ArimaPredictor::maybe_refit() {
     if (obs::enabled()) obs::instruments().arima_refits_rejected.inc();
     return;
   }
+  // Scoring replays the window through the candidate itself, which leaves
+  // it primed on the window, ready to forecast if accepted.
   ArimaModel candidate(order_, fit.coeffs);
-  const double candidate_msq = replay_msqerr(candidate, window);
+  const double candidate_msq = prime_and_score(candidate, window);
 
   // Benchmark: the MEAN predictor's error on this window is its variance
   // around the running mean — approximate with the window variance.
@@ -100,7 +112,6 @@ void ArimaPredictor::maybe_refit() {
     return;
   }
 
-  candidate.prime(window);
   model_ = std::move(candidate);
   if (obs::enabled()) obs::instruments().arima_refits_accepted.inc();
   FDQOS_LOG_TRACE("%s refit accepted at n=%zu: msqerr %.4g (naive %.4g)",

@@ -58,17 +58,31 @@ void SimTransport::send(Message msg) {
                         : Duration::zero();
   FDQOS_ASSERT(delay >= Duration::zero());
 
-  const NodeId to = msg.to;
-  Link* link_ptr = &link;
-  simulator_.schedule_after(delay, [this, msg = std::move(msg), to, link_ptr] {
-    auto it = receivers_.find(to);
-    if (it == receivers_.end() || !it->second) {
-      FDQOS_LOG_DEBUG("dropping message to unbound node %d", to);
-      return;
-    }
-    ++link_ptr->stats.delivered;
-    it->second(msg);
-  });
+  std::uint32_t index;
+  if (free_in_flight_.empty()) {
+    index = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{std::move(msg), &link});
+  } else {
+    index = free_in_flight_.back();
+    free_in_flight_.pop_back();
+    in_flight_[index] = InFlight{std::move(msg), &link};
+  }
+  simulator_.schedule_after(delay, [this, index] { deliver(index); });
+}
+
+void SimTransport::deliver(std::uint32_t index) {
+  // Move the message out before the receiver runs: a send() from inside
+  // the callback may grow the pool and invalidate references into it.
+  const Message msg = std::move(in_flight_[index].msg);
+  Link* link = in_flight_[index].link;
+  free_in_flight_.push_back(index);
+  auto it = receivers_.find(msg.to);
+  if (it == receivers_.end() || !it->second) {
+    FDQOS_LOG_DEBUG("dropping message to unbound node %d", msg.to);
+    return;
+  }
+  ++link->stats.delivered;
+  it->second(msg);
 }
 
 const SimTransport::LinkStats& SimTransport::link_stats(NodeId from,

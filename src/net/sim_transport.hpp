@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/transport.hpp"
@@ -61,12 +62,22 @@ class SimTransport final : public Transport {
     LinkStats stats;
     bool enabled = true;
   };
+  // A message between send and delivery. In-flight messages are parked in
+  // a free-listed pool, so the delivery event captures only [this, index]
+  // and fits the event queue's in-place callback storage.
+  struct InFlight {
+    Message msg;
+    Link* link = nullptr;  // std::map nodes are address-stable
+  };
   Link& link_for(NodeId from, NodeId to);
+  void deliver(std::uint32_t index);
 
   sim::Simulator& simulator_;
   Rng rng_;
   std::map<std::pair<NodeId, NodeId>, Link> links_;
   std::map<NodeId, DeliverFn> receivers_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
 };
 
 }  // namespace fdqos::net

@@ -6,15 +6,24 @@
 
 namespace fdqos::sim {
 
-EventHandle Simulator::schedule_at(TimePoint when, EventFn fn) {
+void Simulator::check_not_past(TimePoint when, const char* op) const {
   if (when < now_) {
     std::fprintf(stderr,
-                 "fdqos: simulator 'sim': schedule_at targets the past "
+                 "fdqos: simulator 'sim': %s targets the past "
                  "(when=%s < now=%s)\n",
-                 when.to_string().c_str(), now_.to_string().c_str());
+                 op, when.to_string().c_str(), now_.to_string().c_str());
   }
   FDQOS_REQUIRE(when >= now_);
+}
+
+EventHandle Simulator::schedule_at(TimePoint when, EventFn fn) {
+  check_not_past(when, "schedule_at");
   return queue_.schedule(when, std::move(fn));
+}
+
+bool Simulator::reschedule(EventHandle& handle, TimePoint when) {
+  check_not_past(when, "reschedule");
+  return queue_.reschedule(handle, when);
 }
 
 EventHandle Simulator::schedule_after(Duration delay, EventFn fn) {
@@ -47,9 +56,11 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
     execute(queue_.pop());
     ++count;
   }
-  // Advance the clock to the deadline even if no event lands exactly there,
-  // so consecutive run_until calls observe monotonic time.
-  if (now_ < deadline) now_ = deadline;
+  // Advance the clock to a finite deadline even if no event lands exactly
+  // there, so consecutive run_until calls observe monotonic time. An
+  // unbounded run (run()) leaves it at the last event: parking it at max()
+  // would overflow the next schedule_after().
+  if (now_ < deadline && deadline != TimePoint::max()) now_ = deadline;
   return count;
 }
 

@@ -25,11 +25,18 @@ class Simulator {
   EventHandle schedule_at(TimePoint when, EventFn fn);
   EventHandle schedule_after(Duration delay, EventFn fn);
 
+  // Move the pending event behind `handle` to `when` (≥ now()) in place;
+  // it orders exactly like cancel + schedule_at. Returns false, changing
+  // nothing, when the handle is not pending.
+  bool reschedule(EventHandle& handle, TimePoint when);
+
   // Run until the queue drains or `deadline` passes (events at exactly
-  // `deadline` still fire). Returns the number of events executed.
+  // `deadline` still fire), then advance the clock to a finite `deadline`.
+  // Returns the number of events executed.
   std::uint64_t run_until(TimePoint deadline);
 
-  // Run until the queue is completely drained.
+  // Run until the queue is completely drained. The clock stays at the last
+  // executed event's time, so later schedule_after() calls stay finite.
   std::uint64_t run();
 
   // Execute at most one event; returns false when none is pending.
@@ -43,6 +50,7 @@ class Simulator {
   TimePoint next_event_time() const { return queue_.next_time(); }
 
  private:
+  void check_not_past(TimePoint when, const char* op) const;
   void execute(EventQueue::Fired fired);
 
   EventQueue queue_;

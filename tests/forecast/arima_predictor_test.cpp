@@ -152,6 +152,30 @@ TEST(ReplayMsqerrTest, ZeroOnSelfConsistentModel) {
   EXPECT_NEAR(msq, 0.0, 1e-18);
 }
 
+TEST(ArimaPredictorTest, AcceptedRefitForecastsLikeModelPrimedOnWindow) {
+  // After an accepted refit the live model must be the refit coefficients
+  // primed on the fit window, bit for bit: the scoring replay is what
+  // primes it.
+  Rng rng(36);
+  const ArimaOrder order{2, 1, 1};
+  ArimaPredictor p(order, fast_config());
+  std::vector<double> series;
+  double x = 0.0;
+  for (int i = 0; i < 400; ++i) {  // refits at n = 64, 200 and 400
+    x = 0.7 * x + rng.normal();
+    series.push_back(x + 50.0);
+    p.observe(series.back());
+  }
+  ASSERT_EQ(p.refit_count(), 3u);
+  ASSERT_EQ(p.refit_rejections(), 0u);
+
+  const ArmaFitResult fit = fit_arima(series, order);  // window = series
+  ASSERT_TRUE(fit.ok);
+  ArimaModel expected(order, fit.coeffs);
+  expected.prime(series);
+  EXPECT_EQ(p.predict(), expected.forecast());
+}
+
 TEST(ReplayMsqerrTest, InfiniteWhenNothingScored) {
   ArimaModel model(ArimaOrder{0, 0, 0}, ArimaCoefficients{});
   const double msq = replay_msqerr(model, std::vector<double>{1.0}, 5);

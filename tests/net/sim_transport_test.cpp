@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace fdqos::net {
@@ -224,6 +225,44 @@ TEST(SimTransportTest, SymmetricPartitionCutsBothDirectionsOnly) {
   transport.send(heartbeat(0, 1, 2, simulator.now()));
   simulator.run();
   EXPECT_EQ(to_b, 1);
+}
+
+TEST(SimTransportTest, SendFromInsideDeliveryKeepsMessagesIntact) {
+  // A receiver that sends while its delivery runs grows the in-flight pool
+  // under it; the message it is reading must stay whole, and every message
+  // must arrive exactly once.
+  sim::Simulator simulator;
+  SimTransport transport(simulator, Rng(13));
+  auto make = [&](NodeId from, NodeId to, std::int64_t seq) {
+    Message msg = heartbeat(from, to, seq, simulator.now());
+    msg.payload.assign(static_cast<std::size_t>(seq % 17 + 1),
+                       static_cast<std::uint8_t>(seq));
+    return msg;
+  };
+  std::vector<std::int64_t> seen;
+  auto receive = [&](const Message& m) {
+    if (m.seq < 50) {  // a chain link: pass it on, plus eight leaves
+      transport.send(make(m.to, m.from, m.seq + 1));
+      for (std::int64_t leaf = 0; leaf < 8; ++leaf) {
+        transport.send(make(m.to, m.from, 1000 + 8 * m.seq + leaf));
+      }
+    }
+    // Read the message only after the sends above.
+    ASSERT_EQ(m.payload.size(), static_cast<std::size_t>(m.seq % 17 + 1));
+    for (std::uint8_t byte : m.payload) {
+      ASSERT_EQ(byte, static_cast<std::uint8_t>(m.seq));
+    }
+    seen.push_back(m.seq);
+  };
+  transport.bind(0, receive);
+  transport.bind(1, receive);
+  transport.send(make(0, 1, 0));
+  simulator.run();
+  ASSERT_EQ(seen.size(), 1u + 50u + 8u * 50u);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+  EXPECT_EQ(seen[50], 50);
+  EXPECT_EQ(seen.back(), 1000 + 8 * 49 + 7);
 }
 
 TEST(SimTransportTest, SameSeedSameDeliverySchedule) {

@@ -99,6 +99,33 @@ TEST(SimulatorTest, CancelledEventDoesNotRun) {
   EXPECT_FALSE(fired);
 }
 
+TEST(SimulatorTest, ScheduleAfterRunFiresRelativeToLastEvent) {
+  // run() leaves the clock at the last executed event, not at
+  // TimePoint::max(), so a later relative schedule stays finite.
+  Simulator sim;
+  sim.schedule_after(Duration::seconds(2), [] {});
+  sim.run();
+  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::seconds(2));
+  TimePoint seen;
+  sim.schedule_after(Duration::millis(5), [&] { seen = sim.now(); });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(seen, TimePoint::origin() + Duration::seconds(2) +
+                      Duration::millis(5));
+}
+
+TEST(SimulatorTest, RescheduleMovesPendingEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle h = sim.schedule_after(Duration::seconds(5),
+                                     [&] { order.push_back(1); });
+  sim.schedule_after(Duration::seconds(2), [&] { order.push_back(2); });
+  EXPECT_TRUE(sim.reschedule(h, TimePoint::origin() + Duration::seconds(1)));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(sim.reschedule(h, sim.now()));
+}
+
 TEST(SimulatorTest, DeterministicInterleavingAtSameTimestamp) {
   // Two runs with identical schedules produce identical orderings.
   auto run_once = [] {
