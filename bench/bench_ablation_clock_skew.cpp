@@ -53,8 +53,9 @@ int main() {
     exp::QosExperimentConfig config;
     config.runs = 2;
     config.num_cycles =
-        static_cast<std::int64_t>(bench::env_u64("FDQOS_CYCLES", 10000)) / 2;
-    config.seed = bench::env_u64("FDQOS_SEED", 42);
+        static_cast<std::int64_t>(bench::env_u64("FDQOS_CYCLES", 10000, 1)) /
+        2;
+    config.seed = bench::env_u64("FDQOS_SEED", 42, 0);
     config.jobs = 1;  // the sweep owns the parallelism
     config.include_paper_suite = false;
     fd::FdSpec spec;

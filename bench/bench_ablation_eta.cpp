@@ -9,9 +9,9 @@
 
 int main() {
   using namespace fdqos;
-  const std::uint64_t seed = bench::env_u64("FDQOS_SEED", 42);
+  const std::uint64_t seed = bench::env_u64("FDQOS_SEED", 42, 0);
   const auto cycles = static_cast<std::int64_t>(
-      bench::env_u64("FDQOS_CYCLES", 10000));
+      bench::env_u64("FDQOS_CYCLES", 10000, 1));
 
   stats::TableWriter table("Ablation — eta sweep (detector: Last+JAC_med)");
   table.set_columns({"eta", "T_D mean (ms)", "T_D max (ms)", "P_A",

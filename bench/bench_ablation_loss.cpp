@@ -9,7 +9,7 @@
 
 int main() {
   using namespace fdqos;
-  const std::uint64_t seed = bench::env_u64("FDQOS_SEED", 42);
+  const std::uint64_t seed = bench::env_u64("FDQOS_SEED", 42, 0);
 
   stats::TableWriter table(
       "Ablation — loss sweep (detector: Arima+CI_med, bursty GE loss)");
@@ -22,7 +22,8 @@ int main() {
     exp::QosExperimentConfig config;
     config.runs = 2;
     config.num_cycles =
-        static_cast<std::int64_t>(bench::env_u64("FDQOS_CYCLES", 10000)) / 2;
+        static_cast<std::int64_t>(bench::env_u64("FDQOS_CYCLES", 10000, 1)) /
+        2;
     config.seed = seed;
     config.jobs = 1;  // the sweep owns the parallelism
     // Hit the target stationary loss with 20% independent drops and 80%

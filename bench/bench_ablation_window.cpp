@@ -12,8 +12,8 @@ int main() {
   using namespace fdqos;
   exp::AccuracyExperimentConfig config;
   config.n_oneway =
-      static_cast<std::size_t>(bench::env_u64("FDQOS_NONEWAY", 100000));
-  config.seed = bench::env_u64("FDQOS_SEED", 42);
+      static_cast<std::size_t>(bench::env_u64("FDQOS_NONEWAY", 100000, 1));
+  config.seed = bench::env_u64("FDQOS_SEED", 42, 0);
   const auto series = exp::generate_delay_series(config);
 
   stats::TableWriter table("Ablation — WINMEAN window sweep");

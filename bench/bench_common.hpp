@@ -8,11 +8,14 @@
 //   FDQOS_NONEWAY — accuracy-experiment length (paper: 100000)
 //   FDQOS_SEED    — experiment seed            (default 42)
 //   FDQOS_JOBS    — sweep parallelism          (default: hardware)
+// RUNS, CYCLES and NONEWAY must be >= 1; a malformed value exits 2.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <type_traits>
@@ -24,24 +27,39 @@
 
 namespace fdqos::bench {
 
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+// Reads a scale knob from the environment; unset or empty gives
+// `fallback`. Anything but a plain run of decimal digits (a sign, an
+// exponent, trailing text, overflow) or a value below `min` exits 2 with a
+// message naming the variable, as the CLI does for its count flags.
+inline std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                             std::uint64_t min) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
+  const char* end = value + std::strlen(value);
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < min) {
+    std::fprintf(stderr,
+                 "fdqos-bench: %s must be an integer >= %llu (got '%s')\n",
+                 name, static_cast<unsigned long long>(min), value);
+    std::exit(2);
+  }
+  return parsed;
 }
 
 inline exp::QosExperimentConfig qos_config_from_env() {
   exp::QosExperimentConfig config;
-  config.runs = static_cast<std::size_t>(env_u64("FDQOS_RUNS", 13));
-  config.num_cycles = static_cast<std::int64_t>(env_u64("FDQOS_CYCLES", 10000));
-  config.seed = env_u64("FDQOS_SEED", 42);
-  config.jobs = static_cast<std::size_t>(env_u64("FDQOS_JOBS", 0));
+  config.runs = static_cast<std::size_t>(env_u64("FDQOS_RUNS", 13, 1));
+  config.num_cycles =
+      static_cast<std::int64_t>(env_u64("FDQOS_CYCLES", 10000, 1));
+  config.seed = env_u64("FDQOS_SEED", 42, 0);
+  config.jobs = static_cast<std::size_t>(env_u64("FDQOS_JOBS", 0, 0));
   return config;
 }
 
 // Sweep parallelism from FDQOS_JOBS (0 = hardware concurrency).
 inline std::size_t sweep_jobs() {
-  return static_cast<std::size_t>(env_u64("FDQOS_JOBS", 0));
+  return static_cast<std::size_t>(env_u64("FDQOS_JOBS", 0, 0));
 }
 
 // Runs fn(i) for every grid point of an ablation sweep on an

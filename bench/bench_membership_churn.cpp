@@ -129,8 +129,9 @@ ChurnResult run_membership(const char* pred, const char* margin,
 
 int main() {
   const Duration horizon = Duration::seconds(
-      static_cast<std::int64_t>(fdqos::bench::env_u64("FDQOS_CYCLES", 10000)) / 2);
-  const std::uint64_t seed = fdqos::bench::env_u64("FDQOS_SEED", 42);
+      static_cast<std::int64_t>(
+          fdqos::bench::env_u64("FDQOS_CYCLES", 10000, 1)) / 2);
+  const std::uint64_t seed = fdqos::bench::env_u64("FDQOS_SEED", 42, 0);
   const double hours = horizon.to_seconds_double() / 3600.0;
 
   stats::TableWriter table("Membership churn vs detector configuration "

@@ -25,10 +25,10 @@ using namespace fdqos;
 
 int main() {
   const auto cycles =
-      static_cast<std::int64_t>(bench::env_u64("FDQOS_CYCLES", 10000));
+      static_cast<std::int64_t>(bench::env_u64("FDQOS_CYCLES", 10000, 1));
   const std::size_t runs =
-      std::min<std::size_t>(bench::env_u64("FDQOS_RUNS", 13), 6);
-  const std::uint64_t seed = bench::env_u64("FDQOS_SEED", 42);
+      std::min<std::size_t>(bench::env_u64("FDQOS_RUNS", 13, 1), 6);
+  const std::uint64_t seed = bench::env_u64("FDQOS_SEED", 42, 0);
 
   struct Entry {
     std::string name;

@@ -28,8 +28,8 @@ int main() {
   // msqerr here), on a delay series from the calibrated link.
   exp::AccuracyExperimentConfig acc;
   acc.n_oneway =
-      static_cast<std::size_t>(bench::env_u64("FDQOS_NONEWAY", 100000)) / 5;
-  acc.seed = bench::env_u64("FDQOS_SEED", 42);
+      static_cast<std::size_t>(bench::env_u64("FDQOS_NONEWAY", 100000, 1)) / 5;
+  acc.seed = bench::env_u64("FDQOS_SEED", 42, 0);
   const auto series = exp::generate_delay_series(acc);
 
   forecast::OrderSelectionConfig selection;

@@ -10,10 +10,10 @@
 int main() {
   using namespace fdqos;
   const std::size_t n =
-      static_cast<std::size_t>(bench::env_u64("FDQOS_NONEWAY", 100000)) * 5;
+      static_cast<std::size_t>(bench::env_u64("FDQOS_NONEWAY", 100000, 1)) * 5;
   auto delay = wan::make_italy_japan_delay();
   auto loss = wan::make_italy_japan_loss();
-  Rng rng(bench::env_u64("FDQOS_SEED", 42));
+  Rng rng(bench::env_u64("FDQOS_SEED", 42, 0));
 
   const auto link =
       wan::measure_link(*delay, *loss, n, Duration::seconds(1), rng);

@@ -4,7 +4,7 @@
 // event ordering is exact and runs are bit-reproducible. `Duration` is a
 // signed span; `TimePoint` is an instant on the experiment's global timeline
 // (the paper assumes NTP-synchronized clocks, so one global timeline
-// suffices; see clockx/ for the relaxation of that assumption).
+// suffices; faultx::StepClock injects monitored-clock jumps on top of it).
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // output by value; nothing reduces, prints or touches the report. The
 // split (engines here, orchestration in QosWorkload, fan-out/join in
 // run_workload) is the refactor seam that lets application workloads —
-// leader election, consensus — reuse the exact engines and reductions
+// leader election — reuse the exact engines and reductions
 // without re-deriving the determinism rules.
 //
 // This header is internal to fdqos::exp and the workload layer: the

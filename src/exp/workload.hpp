@@ -4,7 +4,7 @@
 // units (one simulation per unit) and reduces the unit outputs into a
 // report: the pure detector-QoS comparison, a fleet sweep, or an
 // application workload whose metric depends on the detectors (leader
-// election scored by time-without-leader, consensus latency, ...). The
+// election scored by time-without-leader). The
 // run_workload() harness owns the one rule every workload already obeyed
 // implicitly:
 //

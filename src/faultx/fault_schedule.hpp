@@ -20,9 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "clockx/clock_model.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
+#include "faultx/step_clock.hpp"
 #include "wan/loss_model.hpp"
 
 namespace fdqos::faultx {
@@ -131,7 +131,7 @@ class FaultSchedule {
   double duplicate_prob(TimePoint t) const;
 
   const std::vector<BurstLoss>& bursts() const { return bursts_; }
-  const clockx::StepClock& clock() const { return clock_; }
+  const StepClock& clock() const { return clock_; }
 
   bool empty() const { return event_count() == 0; }
   std::size_t event_count() const;
@@ -148,7 +148,7 @@ class FaultSchedule {
   std::vector<Partition> partitions_;
   std::vector<LinkFlap> flaps_;
   std::vector<ClockJump> jumps_;
-  clockx::StepClock clock_;
+  StepClock clock_;
 };
 
 }  // namespace fdqos::faultx

@@ -19,8 +19,8 @@ using NodeId = std::int32_t;
 
 enum class MessageType : std::uint32_t {
   kHeartbeat = 1,
-  kPing = 2,       // pull-style / clock-sync request
-  kPong = 3,       // pull-style / clock-sync response
+  kPing = 2,       // decoded for wire compatibility; nothing sends it
+  kPong = 3,       // decoded for wire compatibility; nothing sends it
   kUser = 100,     // application payloads
 };
 

@@ -88,6 +88,24 @@ TEST(ChaosInvariantsTest, NominalRunAlsoUpholdsInvariants) {
   }
 }
 
+TEST(ChaosInvariantsTest, PaperScaleRegressionSeedsUpholdInvariants) {
+  // The paper-scale nominal config (13 runs x 10 000 cycles) at seeds that
+  // once broke it: 190 and 216 aborted on a non-stationary ARIMA refit, and
+  // 552891076 missed crashes. The harness config above is too short to
+  // reach either defect.
+  for (const std::uint64_t seed : {190ull, 216ull, 552891076ull}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    QosExperimentConfig config;
+    config.seed = seed;
+    const QosReport report = run_qos_experiment(config);
+    ASSERT_EQ(report.results.size(), 30u);
+    for (const auto& v : qos_invariant_violations(report)) {
+      ADD_FAILURE() << "invariant [" << v.invariant << "] violated: "
+                    << v.detail;
+    }
+  }
+}
+
 TEST(ChaosInvariantsTest, ChaosReportIsByteIdenticalAcrossJobs) {
   // The acceptance bar: jobs=1 (exact serial path) and jobs=8 produce the
   // same report bytes with every fault type active (kitchen_sink), because

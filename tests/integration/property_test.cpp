@@ -16,12 +16,10 @@
 #include <vector>
 
 #include "fd/freshness_detector.hpp"
-#include "fd/pull_detector.hpp"
 #include "fd/suite.hpp"
 #include "net/sim_transport.hpp"
 #include "runtime/heartbeater.hpp"
 #include "runtime/multiplexer.hpp"
-#include "runtime/ping_responder.hpp"
 #include "runtime/process_node.hpp"
 #include "runtime/sim_crash.hpp"
 #include "wan/italy_japan.hpp"
@@ -144,81 +142,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
              std::get<1>(info.param) + "_" + std::get<2>(info.param);
     });
-
-// Pull-style detector under the same randomized workload: the analogous
-// invariants hold (trust condition on pongs, alternation, crash coverage).
-class PullDetectorPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PullDetectorPropertyTest, InvariantsHoldUnderRandomWorkload) {
-  const std::uint64_t seed = GetParam();
-  sim::Simulator simulator;
-  Rng rng(seed);
-  net::SimTransport transport(simulator, rng.fork("net"));
-  for (auto [from, to] : {std::pair<int, int>{0, 1}, {1, 0}}) {
-    net::SimTransport::LinkConfig link;
-    link.delay = wan::make_italy_japan_delay();
-    link.loss = wan::make_italy_japan_loss();
-    transport.set_link(from, to, std::move(link));
-  }
-
-  runtime::ProcessNode target(transport, 0);
-  auto& crash = target.push(std::make_unique<runtime::SimCrashLayer>(
-      simulator,
-      runtime::SimCrashLayer::Config{Duration::seconds(100),
-                                     Duration::seconds(20)},
-      rng.fork("crash")));
-  target.push(std::make_unique<runtime::PingResponderLayer>(simulator, 0));
-
-  runtime::ProcessNode monitor(transport, 1);
-  fd::PullDetector::Config config;
-  config.eta = Duration::seconds(1);
-  config.self = 1;
-  config.monitored = 0;
-  auto& detector = monitor.push(std::make_unique<fd::PullDetector>(
-      simulator, config, fd::make_paper_predictor("Last")(),
-      fd::make_paper_margin("JAC_med")()));
-
-  std::vector<std::pair<TimePoint, bool>> transitions;
-  detector.set_observer([&](TimePoint t, bool s) {
-    transitions.emplace_back(t, s);
-  });
-  std::vector<std::pair<TimePoint, bool>> crash_log;
-  crash.set_observer(
-      [&](TimePoint t, bool c) { crash_log.emplace_back(t, c); });
-
-  target.start();
-  monitor.start();
-  const Duration slice = Duration::millis(2300);
-  TimePoint now = TimePoint::origin();
-  const TimePoint end = TimePoint::origin() + Duration::seconds(800);
-  while (now < end) {
-    now += slice;
-    simulator.run_until(now);
-    const double delta = detector.current_delta_ms();
-    EXPECT_GE(delta, 0.0);
-    EXPECT_LE(delta, 2.0 * 340.0 + 4.0 * 680.0);  // RTT scale + margin room
-  }
-
-  for (std::size_t i = 1; i < transitions.size(); ++i) {
-    EXPECT_NE(transitions[i].second, transitions[i - 1].second) << i;
-    EXPECT_GE(transitions[i].first, transitions[i - 1].first) << i;
-  }
-  // Every completed crash detected by restore time (TTR 20 s >> timeout).
-  std::size_t detected = 0;
-  for (std::size_t c = 0; c + 1 < crash_log.size(); c += 2) {
-    bool state_at_restore = false;
-    for (const auto& tr : transitions) {
-      if (tr.first <= crash_log[c + 1].first) state_at_restore = tr.second;
-    }
-    EXPECT_TRUE(state_at_restore)
-        << "crash at " << crash_log[c].first.to_seconds_double();
-    if (state_at_restore) ++detected;
-  }
-  EXPECT_GE(detected, 3u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PullDetectorPropertyTest,
-                         ::testing::Values(5, 31, 87));
 
 TEST(SimulatorStressTest, MillionEventsReproducible) {
   auto run_once = [] {
