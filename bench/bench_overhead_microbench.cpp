@@ -17,7 +17,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exp/accuracy_experiment.hpp"
 #include "fd/suite.hpp"
+#include "forecast/arima/arima_predictor.hpp"
+#include "forecast/arima/hannan_rissanen.hpp"
 #include "obs/http_exporter.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -83,6 +86,28 @@ void BM_FullTimeoutCalculation(benchmark::State& state,
 // Substrate envelope: raw event throughput of the discrete-event core and
 // the cost of one full detector heartbeat cycle (arrival + freshness
 // bookkeeping). Shows the 13 × 10 000 s experiment fitting in ~1 s of CPU.
+// One ARIMA(2,1,1) refit at the predictor's full window: fit_arima on
+// 8192 Italy→Japan delays, then the candidate's one-step replay over the
+// same window (what ArimaPredictor runs every N_Arima heartbeats).
+void BM_ArimaRefit(benchmark::State& state) {
+  constexpr std::size_t kWindow = 8192;
+  exp::AccuracyExperimentConfig config;
+  config.n_oneway = kWindow * 2;
+  std::vector<double> window = exp::generate_delay_series(config);
+  window.resize(kWindow);
+  const forecast::ArimaOrder order{2, 1, 1};
+  for (auto _ : state) {
+    const forecast::ArmaFitResult fit = forecast::fit_arima(window, order);
+    if (!fit.ok) {
+      state.SkipWithError("fit failed");
+      break;
+    }
+    benchmark::DoNotOptimize(forecast::replay_msqerr(
+        forecast::ArimaModel(order, fit.coeffs), window));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator simulator;
@@ -296,6 +321,8 @@ int main(int argc, char** argv) {
                                std::string("Arima"), std::string("CI_med"));
   benchmark::RegisterBenchmark("timeout/Mean+CI_med", BM_FullTimeoutCalculation,
                                std::string("Mean"), std::string("CI_med"));
+  benchmark::RegisterBenchmark("arima/refit_8192", BM_ArimaRefit)
+      ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("simulator/event_throughput",
                                BM_SimulatorEventThroughput);
   benchmark::RegisterBenchmark("simulator/timer_churn", BM_SimulatorTimerChurn);

@@ -46,6 +46,12 @@ class ArimaModel {
   // forecasts continue from its end.
   void prime(std::span<const double> history);
 
+  // prime(series), scoring on the way: each point from index `warmup` on
+  // is compared with the one-step forecast made just before observing it.
+  // Returns the mean squared error of those forecasts, or +infinity when
+  // none was scored or the mean is not finite.
+  double prime_and_score(std::span<const double> series, std::size_t warmup);
+
   // Feed the next raw observation; updates residual state and the cached
   // one-step forecast.
   void observe(double z);
@@ -58,17 +64,29 @@ class ArimaModel {
   std::size_t observation_count() const { return diff_.count(); }
 
  private:
-  double forecast_differenced() const;
+  struct Score {
+    double ss = 0.0;
+    std::size_t scored = 0;
+  };
+
+  void reset();
+  // The one observe/forecast loop behind observe(), prime() and
+  // prime_and_score(): feeds `zs` in order, scoring the forecast of each
+  // point from index `warmup` on before observing it.
+  Score advance(std::span<const double> zs, std::size_t warmup);
 
   ArimaOrder order_;
   ArimaCoefficients coeffs_;
   DifferenceState diff_;
-  std::vector<double> recent_w_;  // ring, newest at (w_count_-1) % p
-  std::vector<double> recent_a_;  // ring, newest at (a_count_-1) % q
-  std::size_t w_count_ = 0;
-  std::size_t a_count_ = 0;
+  // Lag rings of the differenced series W and the residuals â, each p
+  // (resp. q) values stored twice: the newest sits at recent_w_[slot_w_]
+  // and lag i at recent_w_[slot_w_ + i − 1], with no wrap-around to test.
+  std::vector<double> recent_w_;
+  std::vector<double> recent_a_;
+  std::size_t slot_w_ = 0;
+  std::size_t slot_a_ = 0;
+  std::size_t w_count_ = 0;          // differenced points seen (W and â alike)
   double pending_w_forecast_ = 0.0;  // ŵ for the not-yet-seen next W
-  bool has_pending_forecast_ = false;
   double last_z_ = 0.0;
 };
 

@@ -1,8 +1,6 @@
 #include "forecast/arima/arima_predictor.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -14,31 +12,15 @@
 namespace fdqos::forecast {
 namespace {
 
-// replay_msqerr on `model` itself: afterwards `model` is primed on `series`,
-// exactly as after model.prime(series), because forecast() is const.
-double prime_and_score(ArimaModel& model, std::span<const double> series,
-                       std::size_t warmup = 10) {
-  model.prime({});
-  double ss = 0.0;
-  std::size_t scored = 0;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i >= warmup) {
-      const double err = series[i] - model.forecast();
-      ss += err * err;
-      ++scored;
-    }
-    model.observe(series[i]);
-  }
-  if (scored == 0) return std::numeric_limits<double>::infinity();
-  const double msq = ss / static_cast<double>(scored);
-  return std::isfinite(msq) ? msq : std::numeric_limits<double>::infinity();
-}
+// Points at the front of the window that a candidate's replay does not
+// score (the same default as replay_msqerr).
+constexpr std::size_t kRefitScoreWarmup = 10;
 
 }  // namespace
 
 double replay_msqerr(ArimaModel model, std::span<const double> series,
                      std::size_t warmup) {
-  return prime_and_score(model, series, warmup);
+  return model.prime_and_score(series, warmup);
 }
 
 bool coefficients_admissible(const ArimaCoefficients& coeffs) {
@@ -99,7 +81,8 @@ void ArimaPredictor::maybe_refit() {
   // Scoring replays the window through the candidate itself, which leaves
   // it primed on the window, ready to forecast if accepted.
   ArimaModel candidate(order_, fit.coeffs);
-  const double candidate_msq = prime_and_score(candidate, window);
+  const double candidate_msq =
+      candidate.prime_and_score(window, kRefitScoreWarmup);
 
   // Benchmark: the MEAN predictor's error on this window is its variance
   // around the running mean — approximate with the window variance.

@@ -6,46 +6,21 @@ namespace fdqos::forecast {
 
 std::vector<double> difference(std::span<const double> series, std::size_t d) {
   FDQOS_REQUIRE(series.size() >= d);
-  std::vector<double> out(series.begin(), series.end());
-  for (std::size_t round = 0; round < d; ++round) {
-    for (std::size_t i = out.size(); i > 1; --i) {
-      out[i - 1] -= out[i - 2];
-    }
-    out.erase(out.begin());
+  if (d == 0) return {series.begin(), series.end()};
+  // Each round maps v to v'[i] = v[i+1] − v[i], one element shorter; the
+  // rounds after the first run in place, front to back.
+  std::size_t len = series.size() - 1;
+  std::vector<double> out(len);
+  for (std::size_t i = 0; i < len; ++i) out[i] = series[i + 1] - series[i];
+  for (std::size_t round = 1; round < d; ++round) {
+    --len;
+    for (std::size_t i = 0; i < len; ++i) out[i] = out[i + 1] - out[i];
   }
+  out.resize(len);
   return out;
 }
 
 DifferenceState::DifferenceState(std::size_t d) : last_(d + 1, 0.0) {}
-
-double DifferenceState::push(double z) {
-  // Walk down the levels: new ∇^k value = new ∇^(k-1) value − previous
-  // ∇^(k-1) value; update `last_` as we go.
-  double value = z;
-  for (std::size_t k = 0; k < last_.size(); ++k) {
-    const double prev = last_[k];
-    last_[k] = value;
-    if (k + 1 == last_.size()) break;
-    if (n_ <= k) {
-      // Not enough history to form level k+1 yet.
-      break;
-    }
-    value = value - prev;
-  }
-  ++n_;
-  return ready() ? last_[order()] : 0.0;
-}
-
-double DifferenceState::integrate_forecast(double w_hat) const {
-  FDQOS_REQUIRE(ready() || order() == 0);
-  // ẑ = ŵ + Σ_{k=0}^{d-1} last value of ∇^k Z ... built by integrating one
-  // level at a time: forecast at level k = forecast at level k+1 + last_[k].
-  double value = w_hat;
-  for (std::size_t k = order(); k > 0; --k) {
-    value += last_[k - 1];
-  }
-  return value;
-}
 
 void DifferenceState::reset() {
   for (auto& v : last_) v = 0.0;

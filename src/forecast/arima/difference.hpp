@@ -9,6 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.hpp"
+
 namespace fdqos::forecast {
 
 // Returns ∇^d(series); the result has series.size() - d elements.
@@ -31,12 +33,39 @@ class DifferenceState {
   bool ready() const { return n_ > order(); }
 
   // Push a raw observation; returns the new d-th difference when ready()
-  // becomes/is true, otherwise 0 (callers must check ready()).
-  double push(double z);
+  // becomes/is true, otherwise 0 (callers must check ready()). Inline, as
+  // are integrate_forecast() and ready(): ArimaModel's replay loop runs
+  // them once per observation.
+  double push(double z) {
+    // Walk down the levels: new ∇^k value = new ∇^(k-1) value − previous
+    // ∇^(k-1) value; update `last_` as we go.
+    double value = z;
+    for (std::size_t k = 0; k < last_.size(); ++k) {
+      const double prev = last_[k];
+      last_[k] = value;
+      if (k + 1 == last_.size()) break;
+      if (n_ <= k) {
+        // Not enough history to form level k+1 yet.
+        break;
+      }
+      value = value - prev;
+    }
+    ++n_;
+    return ready() ? last_[order()] : 0.0;
+  }
 
   // Map a one-step forecast of the d-th difference back to the original
   // scale: ẑ = ŵ + last_[d−1] + ... + last_[0] chain.
-  double integrate_forecast(double w_hat) const;
+  double integrate_forecast(double w_hat) const {
+    FDQOS_REQUIRE(ready() || order() == 0);
+    // Integrate one level at a time: forecast at level k = forecast at
+    // level k+1 + last_[k].
+    double value = w_hat;
+    for (std::size_t k = order(); k > 0; --k) {
+      value += last_[k - 1];
+    }
+    return value;
+  }
 
   void reset();
 

@@ -9,46 +9,6 @@ namespace fdqos::forecast {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  }
-  return t;
-}
-
-Matrix Matrix::operator*(const Matrix& rhs) const {
-  FDQOS_REQUIRE(cols_ == rhs.rows_);
-  Matrix out(rows_, rhs.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = at(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < rhs.cols_; ++c) {
-        out.at(r, c) += a * rhs.at(k, c);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<double> Matrix::operator*(std::span<const double> v) const {
-  FDQOS_REQUIRE(cols_ == v.size());
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) sum += at(r, c) * v[c];
-    out[r] = sum;
-  }
-  return out;
-}
-
 bool cholesky_solve(const Matrix& a, std::span<const double> b,
                     std::vector<double>& x) {
   FDQOS_REQUIRE(a.rows() == a.cols());
@@ -89,24 +49,11 @@ bool cholesky_solve(const Matrix& a, std::span<const double> b,
   return true;
 }
 
-bool least_squares(const Matrix& x, std::span<const double> y,
-                   std::vector<double>& beta) {
-  FDQOS_REQUIRE(x.rows() == y.size());
-  const std::size_t n = x.rows();
-  const std::size_t k = x.cols();
-  if (n < k) return false;
-
-  // Normal equations: (XᵀX + λI)·beta = Xᵀy.
-  Matrix xtx(k, k);
-  std::vector<double> xty(k, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t i = 0; i < k; ++i) {
-      const double xi = x.at(r, i);
-      if (xi == 0.0) continue;
-      xty[i] += xi * y[r];
-      for (std::size_t j = i; j < k; ++j) xtx.at(i, j) += xi * x.at(r, j);
-    }
-  }
+bool solve_normal_equations(Matrix& xtx, std::span<const double> xty,
+                            std::vector<double>& beta) {
+  FDQOS_REQUIRE(xtx.rows() == xtx.cols());
+  FDQOS_REQUIRE(xtx.rows() == xty.size());
+  const std::size_t k = xtx.rows();
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = 0; j < i; ++j) xtx.at(i, j) = xtx.at(j, i);
   }

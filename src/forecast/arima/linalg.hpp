@@ -22,11 +22,6 @@ class Matrix {
   double& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   double at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-  static Matrix identity(std::size_t n);
-  Matrix transposed() const;
-  Matrix operator*(const Matrix& rhs) const;
-  std::vector<double> operator*(std::span<const double> v) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -38,10 +33,12 @@ class Matrix {
 bool cholesky_solve(const Matrix& a, std::span<const double> b,
                     std::vector<double>& x);
 
-// Ordinary least squares: minimizes ‖X·beta − y‖². Solves the normal
-// equations with a small ridge term (relative to trace(XᵀX)) for numerical
-// robustness against collinear regressors. Returns false on failure.
-bool least_squares(const Matrix& x, std::span<const double> y,
-                   std::vector<double>& beta);
+// Ordinary least squares from its normal equations: solves
+// (XᵀX + λI)·beta = Xᵀy, where `xtx` holds the upper triangle of XᵀX
+// (the lower one is overwritten) and λ is a small ridge relative to
+// trace(XᵀX) for numerical robustness against collinear regressors.
+// Returns false on failure.
+bool solve_normal_equations(Matrix& xtx, std::span<const double> xty,
+                            std::vector<double>& beta);
 
 }  // namespace fdqos::forecast

@@ -1,6 +1,5 @@
 #include "forecast/arima/order_selection.hpp"
 
-#include <cmath>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -8,26 +7,6 @@
 #include "forecast/arima/hannan_rissanen.hpp"
 
 namespace fdqos::forecast {
-namespace {
-
-// One-step msqerr on the holdout: prime on train, then score each holdout
-// point before observing it.
-double holdout_msqerr(ArimaModel model, std::span<const double> train,
-                      std::span<const double> test) {
-  model.prime(train);
-  double ss = 0.0;
-  for (double z : test) {
-    const double err = z - model.forecast();
-    ss += err * err;
-    model.observe(z);
-  }
-  if (test.empty()) return std::numeric_limits<double>::infinity();
-  const double msq = ss / static_cast<double>(test.size());
-  return std::isfinite(msq) ? msq : std::numeric_limits<double>::infinity();
-}
-
-}  // namespace
-
 OrderSelectionResult select_arima_order(std::span<const double> series,
                                         const OrderSelectionConfig& config) {
   FDQOS_REQUIRE(series.size() >= kMinOrderSelectionSamples);
@@ -36,7 +15,6 @@ OrderSelectionResult select_arima_order(std::span<const double> series,
   const auto split = static_cast<std::size_t>(
       static_cast<double>(series.size()) * config.train_fraction);
   const std::span<const double> train = series.subspan(0, split);
-  const std::span<const double> test = series.subspan(split);
 
   OrderSelectionResult result;
   result.best_msqerr = std::numeric_limits<double>::infinity();
@@ -58,8 +36,10 @@ OrderSelectionResult select_arima_order(std::span<const double> series,
         const ArmaFitResult fit = fit_arima(train, cand.order);
         if (fit.ok) {
           cand.fitted = true;
-          cand.holdout_msqerr =
-              holdout_msqerr(ArimaModel(cand.order, fit.coeffs), train, test);
+          // One-step msqerr on the holdout: primed on train, each
+          // holdout point scored before it is observed.
+          ArimaModel model(cand.order, fit.coeffs);
+          cand.holdout_msqerr = model.prime_and_score(series, split);
         } else {
           cand.fail_reason = fit.error;
         }

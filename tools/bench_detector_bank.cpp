@@ -30,24 +30,11 @@
 #include "exec/thread_pool.hpp"
 #include "exp/qos_experiment.hpp"
 #include "fd/suite.hpp"
+#include "git_describe.hpp"
 
 using namespace fdqos;
 
 namespace {
-
-std::string current_commit() {
-  std::string commit;
-  if (std::FILE* git =
-          popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[64];
-    if (std::fgets(buf, sizeof buf, git) != nullptr) commit = buf;
-    pclose(git);
-  }
-  while (!commit.empty() && (commit.back() == '\n' || commit.back() == ' ')) {
-    commit.pop_back();
-  }
-  return commit.empty() ? "unknown" : commit;
-}
 
 double wall_seconds(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -155,7 +142,7 @@ int main(int argc, char** argv) {
     entries.push_back(entry);
   }
 
-  const std::string commit = current_commit();
+  const std::string commit = tools::current_commit();
   const std::size_t hw_jobs = exec::hardware_jobs();
   std::string json = "[\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {

@@ -4,11 +4,14 @@
 // jobs = N (all cores, or --jobs N), verifies in-process that the parallel
 // output is identical to serial, and writes BENCH_parallel.json:
 //
-//   [{"bench": "qos_fig4", "jobs": 1, "wall_s": 12.3, "speedup": 1.0}, ...]
+//   [{"bench": "qos_fig4", "commit": "c9d3785", "jobs": 1, "hw_jobs": 4,
+//     "wall_s": 12.3, "speedup": 1.0}, ...]
 //
 // speedup is serial wall time / this entry's wall time for the same bench,
 // so the jobs = 1 rows carry 1.0 and the jobs = N rows carry the headline
-// number. Scale knobs (reduced sweeps for CI):
+// number. `commit` is `git describe --always --dirty` of the working
+// directory ("unknown" outside a checkout); `hw_jobs` the hardware
+// threads. Scale knobs (reduced sweeps for CI):
 //
 //   bench_parallel [--runs N] [--cycles N] [--n N] [--jobs N]
 //                  [--out FILE]
@@ -27,6 +30,7 @@
 #include "exp/qos_experiment.hpp"
 #include "exp/report.hpp"
 #include "forecast/arima/order_selection.hpp"
+#include "git_describe.hpp"
 
 using namespace fdqos;
 
@@ -134,13 +138,14 @@ int main(int argc, char** argv) {
   }
 
   // --- Write the baseline ------------------------------------------------
+  const std::string commit = tools::current_commit();
   std::string json = "[\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    char line[192];
+    char line[256];
     std::snprintf(line, sizeof line,
-                  "  {\"bench\": \"%s\", \"jobs\": %zu, \"hw_jobs\": %zu, "
-                  "\"wall_s\": %.3f, \"speedup\": %.2f}%s\n",
-                  entries[i].bench.c_str(), entries[i].jobs, hw,
+                  "  {\"bench\": \"%s\", \"commit\": \"%s\", \"jobs\": %zu, "
+                  "\"hw_jobs\": %zu, \"wall_s\": %.3f, \"speedup\": %.2f}%s\n",
+                  entries[i].bench.c_str(), commit.c_str(), entries[i].jobs, hw,
                   entries[i].wall_s, entries[i].speedup,
                   i + 1 < entries.size() ? "," : "");
     json += line;
