@@ -67,7 +67,7 @@ curl -sf "http://127.0.0.1:$http_port/healthz" | grep -qx ok \
     || fail "bench_serve --send-only failed"
 sleep 0.5  # let the daemon drain and publish a status tick
 
-# 3. Structural exposition check + the families this PR introduces.
+# 3. Structural exposition check + the serve families.
 curl -sf "http://127.0.0.1:$http_port/metrics" > "$workdir/scrape.prom" \
     || fail "curl /metrics failed"
 python3 "$CHECKER" \
@@ -75,6 +75,7 @@ python3 "$CHECKER" \
     --require fdqos_serve_datagrams_total \
     --require fdqos_serve_drops_total \
     --require fdqos_serve_batch_size \
+    --require fdqos_serve_lag_seconds \
     --require fdqos_udp_send_failures_total \
     "$workdir/scrape.prom" || fail "exposition check failed"
 # The burst must actually have been counted, not just declared.

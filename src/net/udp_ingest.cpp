@@ -6,12 +6,58 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <ctime>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
 
 namespace fdqos::net {
+namespace {
+
+// One receive slot's header. recvmmsg wants an mmsghdr array; the single
+// path hands the embedded msghdr to recvmsg, so both paths share it.
+#ifdef __linux__
+using SlotHeader = mmsghdr;
+#else
+struct SlotHeader {
+  msghdr msg_hdr;
+};
+#endif
+
+// Per-slot control buffer: room for one timespec control message.
+constexpr std::size_t kControlBytes = CMSG_SPACE(sizeof(timespec));
+constexpr std::int64_t kNoStamp = std::numeric_limits<std::int64_t>::min();
+
+template <typename Clock>
+std::int64_t clock_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             Clock::now().time_since_epoch())
+      .count();
+}
+
+// The kernel's CLOCK_REALTIME receive stamp of one received message, or
+// kNoStamp when it carries none.
+std::int64_t kernel_stamp_ns(msghdr& hdr) {
+#ifdef SCM_TIMESTAMPNS
+  for (cmsghdr* c = CMSG_FIRSTHDR(&hdr); c != nullptr;
+       c = CMSG_NXTHDR(&hdr, c)) {
+    if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SCM_TIMESTAMPNS) {
+      timespec ts;
+      std::memcpy(&ts, CMSG_DATA(c), sizeof ts);
+      return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 +
+             ts.tv_nsec;
+    }
+  }
+#else
+  (void)hdr;
+#endif
+  return kNoStamp;
+}
+
+}  // namespace
 
 UdpIngestSocket::UdpIngestSocket(const Options& opts)
     : batch_(opts.batch), slot_bytes_(opts.datagram_bytes) {
@@ -40,6 +86,15 @@ UdpIngestSocket::UdpIngestSocket(const Options& opts)
     const int want = opts.rcvbuf_bytes;
     (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &want, sizeof want);
   }
+#ifdef SO_TIMESTAMPNS
+  // Best-effort too: without stamps arrival() reports none and the caller
+  // falls back to its drain instant.
+  const int on = 1;
+  if (::setsockopt(fd_, SOL_SOCKET, SO_TIMESTAMPNS, &on, sizeof on) != 0) {
+    FDQOS_LOG_DEBUG("ingest: SO_TIMESTAMPNS refused: %s",
+                    std::strerror(errno));
+  }
+#endif
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
       0) {
     FDQOS_LOG_ERROR("ingest: bind(%s:%u) failed: %s", opts.host.c_str(),
@@ -54,25 +109,28 @@ UdpIngestSocket::UdpIngestSocket(const Options& opts)
     local_port_ = ntohs(bound.sin_port);
   }
 
-  slab_.resize(batch_ * slot_bytes_);
+  slab_.reset(new std::uint8_t[batch_ * slot_bytes_]);
   lengths_.assign(batch_, 0);
+  arrivals_.assign(batch_, kNoStamp);
+  // One slot header + one iovec + one control buffer per slot, wired up
+  // once; a receive writes back only msg_len, msg_flags and
+  // msg_controllen, and the last is reset before every receive.
+  headers_.assign(batch_ * (sizeof(SlotHeader) + sizeof(iovec) + kControlBytes),
+                  0);
+  auto* msgs = reinterpret_cast<SlotHeader*>(headers_.data());
+  auto* iovs =
+      reinterpret_cast<iovec*>(headers_.data() + batch_ * sizeof(SlotHeader));
+  std::uint8_t* control =
+      headers_.data() + batch_ * (sizeof(SlotHeader) + sizeof(iovec));
+  for (std::size_t i = 0; i < batch_; ++i) {
+    iovs[i].iov_base = slab_.get() + i * slot_bytes_;
+    iovs[i].iov_len = slot_bytes_;
+    msgs[i].msg_hdr.msg_iov = &iovs[i];
+    msgs[i].msg_hdr.msg_iovlen = 1;
+    msgs[i].msg_hdr.msg_control = control + i * kControlBytes;
+  }
 #ifdef __linux__
   use_recvmmsg_ = !opts.force_single_recv;
-  if (use_recvmmsg_) {
-    // One mmsghdr + one iovec per slot, wired up once; recvmmsg only
-    // writes msg_len / msg_flags back, so the wiring survives reuse.
-    headers_.resize(batch_ * (sizeof(mmsghdr) + sizeof(iovec)));
-    auto* msgs = reinterpret_cast<mmsghdr*>(headers_.data());
-    auto* iovs =
-        reinterpret_cast<iovec*>(headers_.data() + batch_ * sizeof(mmsghdr));
-    std::memset(headers_.data(), 0, headers_.size());
-    for (std::size_t i = 0; i < batch_; ++i) {
-      iovs[i].iov_base = slab_.data() + i * slot_bytes_;
-      iovs[i].iov_len = slot_bytes_;
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-  }
 #else
   (void)opts.force_single_recv;
 #endif
@@ -86,7 +144,10 @@ std::size_t UdpIngestSocket::recv_batch() {
   if (fd_ < 0) return 0;
 #ifdef __linux__
   if (use_recvmmsg_) {
-    auto* msgs = reinterpret_cast<mmsghdr*>(headers_.data());
+    auto* msgs = reinterpret_cast<SlotHeader*>(headers_.data());
+    for (std::size_t i = 0; i < batch_; ++i) {
+      msgs[i].msg_hdr.msg_controllen = kControlBytes;
+    }
     int rc;
     do {
       rc = ::recvmmsg(fd_, msgs, static_cast<unsigned>(batch_), MSG_DONTWAIT,
@@ -98,22 +159,28 @@ std::size_t UdpIngestSocket::recv_batch() {
       }
       return 0;
     }
-    for (int i = 0; i < rc; ++i) lengths_[static_cast<std::size_t>(i)] = msgs[i].msg_len;
-    return static_cast<std::size_t>(rc);
+    const auto drained = static_cast<std::size_t>(rc);
+    for (std::size_t i = 0; i < drained; ++i) lengths_[i] = msgs[i].msg_len;
+    stamp_arrivals(drained);
+    return drained;
   }
 #endif
-  return recv_batch_single();
+  const std::size_t drained = recv_batch_single();
+  stamp_arrivals(drained);
+  return drained;
 }
 
 std::size_t UdpIngestSocket::recv_batch_single() {
+  auto* msgs = reinterpret_cast<SlotHeader*>(headers_.data());
   std::size_t n = 0;
   while (n < batch_) {
-    const ssize_t rc =
-        ::recv(fd_, slab_.data() + n * slot_bytes_, slot_bytes_, 0);
+    msghdr& hdr = msgs[n].msg_hdr;
+    hdr.msg_controllen = kControlBytes;
+    const ssize_t rc = ::recvmsg(fd_, &hdr, 0);
     if (rc < 0) {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        FDQOS_LOG_DEBUG("ingest: recv failed: %s", std::strerror(errno));
+        FDQOS_LOG_DEBUG("ingest: recvmsg failed: %s", std::strerror(errno));
       }
       break;
     }
@@ -123,9 +190,28 @@ std::size_t UdpIngestSocket::recv_batch_single() {
   return n;
 }
 
+void UdpIngestSocket::stamp_arrivals(std::size_t drained) {
+  if (drained == 0) return;
+  // One (realtime, steady) pair per drain maps every stamp of the batch
+  // into the steady domain the caller runs its timers on.
+  const std::int64_t offset = clock_ns<std::chrono::steady_clock>() -
+                              clock_ns<std::chrono::system_clock>();
+  auto* msgs = reinterpret_cast<SlotHeader*>(headers_.data());
+  for (std::size_t i = 0; i < drained; ++i) {
+    const std::int64_t stamp = kernel_stamp_ns(msgs[i].msg_hdr);
+    arrivals_[i] = stamp == kNoStamp ? kNoStamp : stamp + offset;
+  }
+}
+
 std::span<const std::uint8_t> UdpIngestSocket::datagram(std::size_t i) const {
   FDQOS_REQUIRE(i < batch_);
-  return {slab_.data() + i * slot_bytes_, lengths_[i]};
+  return {slab_.get() + i * slot_bytes_, lengths_[i]};
+}
+
+std::optional<std::int64_t> UdpIngestSocket::arrival(std::size_t i) const {
+  FDQOS_REQUIRE(i < batch_);
+  if (arrivals_[i] == kNoStamp) return std::nullopt;
+  return arrivals_[i];
 }
 
 }  // namespace fdqos::net

@@ -6,16 +6,23 @@
 // per-syscall and per-allocation costs dominate. This socket owns a
 // preallocated slab of receive slots and drains up to `batch` datagrams
 // per recv_batch() call via recvmmsg(2) on Linux, falling back to a
-// single-recv loop elsewhere (or when Options::force_single_recv is set,
+// single-recvmsg loop elsewhere (or when Options::force_single_recv is set,
 // which the tests use to pin both paths to identical behaviour). The
 // steady state performs zero heap allocation: callers read the drained
 // datagrams in place through datagram(i) views.
+//
+// Arrival stamps: on Linux the socket asks the kernel for a receive
+// timestamp per datagram (SO_TIMESTAMPNS), so a caller that drains late
+// still knows when each datagram really arrived. Both drain paths share
+// one slot header with its own control buffer, so they stamp alike.
 //
 // Like UdpTransport, the bind host must be an IPv4 literal — construction
 // fails fast (ok() == false) on anything inet_pton rejects.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,19 +62,31 @@ class UdpIngestSocket {
   // will fail decoding downstream — counted there, never a crash here.
   std::span<const std::uint8_t> datagram(std::size_t i) const;
 
+  // Kernel arrival instant of drained datagram i, in
+  // std::chrono::steady_clock nanoseconds since its epoch; nullopt when
+  // the kernel attached no stamp (non-Linux, or the option was refused).
+  // The kernel stamps on CLOCK_REALTIME; recv_batch() converts with one
+  // (realtime, steady) pair sampled per drain, so a wall-clock step
+  // between the arrival and the drain shifts the stamp by that step.
+  std::optional<std::int64_t> arrival(std::size_t i) const;
+
   bool using_recvmmsg() const { return use_recvmmsg_; }
 
  private:
   std::size_t recv_batch_single();
+  void stamp_arrivals(std::size_t drained);
 
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::size_t batch_ = 0;
   std::size_t slot_bytes_ = 0;
   bool use_recvmmsg_ = false;
-  std::vector<std::uint8_t> slab_;     // batch_ × slot_bytes_ receive slots
-  std::vector<std::size_t> lengths_;   // filled per drained datagram
-  std::vector<std::uint8_t> headers_;  // opaque mmsghdr/iovec storage (Linux)
+  // batch_ × slot_bytes_ receive slots, left uninitialised: the kernel
+  // writes each datagram, and datagram(i) exposes only lengths_[i] bytes.
+  std::unique_ptr<std::uint8_t[]> slab_;
+  std::vector<std::size_t> lengths_;        // filled per drained datagram
+  std::vector<std::int64_t> arrivals_;      // steady ns, or a no-stamp mark
+  std::vector<std::uint8_t> headers_;  // opaque slot header/iovec/control
 };
 
 }  // namespace fdqos::net

@@ -63,6 +63,10 @@ Instruments& instruments() {
       Registry::global().histogram(
           "fdqos_serve_batch_size",
           "Datagrams drained per fdqos serve receive batch"),
+      Registry::global().histogram(
+          "fdqos_serve_lag_seconds",
+          "fdqos serve drain instant minus the oldest kernel arrival stamp "
+          "of the batch"),
       Registry::global().counter("fdqos_crash_events_total",
                                  "SimCrash injector events",
                                  {{"kind", "crash"}}),

@@ -44,13 +44,16 @@ struct Instruments {
 
   // `fdqos serve` ingest daemon (serve/daemon.hpp): recvmmsg batches
   // drained, datagrams received, heartbeats dropped (labeled by reason:
-  // decode failure vs. admission capacity), and the per-drain batch-size
-  // distribution. Incremented once per batch, never per datagram.
+  // decode failure vs. admission capacity), the per-drain batch-size
+  // distribution, and the daemon's lag (drain instant minus the oldest
+  // kernel arrival stamp of the batch, in seconds). Incremented once per
+  // batch, never per datagram.
   Counter& serve_batches_total;
   Counter& serve_datagrams_total;
   Counter& serve_drops_decode;
   Counter& serve_drops_capacity;
   Histogram& serve_batch_size;
+  Histogram& serve_lag_seconds;
 
   // SimCrash injector.
   Counter& crash_injections;

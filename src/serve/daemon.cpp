@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
+#include <thread>
 #include <unordered_map>
 
 #include "common/assert.hpp"
@@ -61,6 +63,27 @@ std::vector<fd::FdSpec> suite_specs(const std::string& suite) {
   return {};
 }
 
+void offer(const IngestPath& path, const net::HeartbeatFrame& frame,
+           std::int64_t recv_ns) {
+  if (!path.ingest.offer(frame.from, frame.seq)) {
+    ++path.stats.drops_capacity;
+    return;
+  }
+  ++path.stats.heartbeats;
+  if (path.capture != nullptr) {
+    // The sender stamps send_ns on its own steady clock; on one host
+    // (loopback, the bench) that is the daemon's clock too. Clamp the
+    // delay at zero — the .fdt contract rejects negative delays, and a
+    // cross-host clock offset must degrade the capture, not kill it.
+    const std::int64_t send_ns = frame.send_time.count_nanos();
+    const std::int64_t delay_ns =
+        std::max<std::int64_t>(0, recv_ns - send_ns);
+    path.capture->append(TimePoint::from_nanos(send_ns - path.clock_base_ns),
+                         Duration::nanos(delay_ns));
+    ++path.stats.captured;
+  }
+}
+
 }  // namespace
 
 ServeDaemon::ServeDaemon(ServeConfig config) : config_(std::move(config)) {}
@@ -95,6 +118,7 @@ bool ServeDaemon::init() {
   sopts.force_single_recv = config_.force_single_recv;
   socket_ = std::make_unique<net::UdpIngestSocket>(sopts);
   if (!socket_->ok()) return false;
+  drained_.reserve(config_.batch);
 
   fd::FleetBank::Config fc;
   fc.eta = config_.eta;
@@ -133,66 +157,69 @@ bool ServeDaemon::init() {
   return true;
 }
 
-void ServeDaemon::offer(net::NodeId from, std::int64_t seq,
-                        std::int64_t send_ns, std::int64_t recv_wall_ns,
-                        std::int64_t wall_start_ns) {
-  if (!ingest_->offer(from, seq)) {
-    ++stats_.drops_capacity;
-    return;
-  }
-  ++stats_.heartbeats;
-  if (capture_ != nullptr) {
-    // The sender stamps send_ns on its own steady clock; on one host
-    // (loopback, the bench) that is the daemon's clock too. Clamp the
-    // delay at zero — the .fdt contract rejects negative delays, and a
-    // cross-host clock offset must degrade the capture, not kill it.
-    const std::int64_t delay_ns = std::max<std::int64_t>(
-        0, recv_wall_ns - send_ns);
-    capture_->append(TimePoint::from_nanos(send_ns - wall_start_ns),
-                     Duration::nanos(delay_ns));
-    ++stats_.captured;
-  }
-}
-
-void ServeDaemon::process_batch(std::size_t drained, TimePoint v_now,
-                                std::int64_t wall_start_ns) {
-  const std::int64_t recv_wall_ns = wall_start_ns + v_now.count_nanos();
-  const Stats before = stats_;
+void ingest_in_arrival_order(const IngestPath& path,
+                             std::span<const DrainedDatagram> batch,
+                             TimePoint drain) {
+  sim::Simulator& simulator = path.simulator;
+  FDQOS_REQUIRE(drain >= simulator.now());
+  ServeStats& stats = path.stats;
+  const ServeStats before = stats;
+  TimePoint oldest = drain;
   net::PackedBatchView packed;
   net::HeartbeatFrame frame;
-  for (std::size_t i = 0; i < drained; ++i) {
-    const auto wire = socket_->datagram(i);
-    if (net::decode_packed_batch(wire, packed)) {
+  for (const DrainedDatagram& datagram : batch) {
+    oldest = std::min(oldest, datagram.arrival);
+    const TimePoint at = std::clamp(datagram.arrival, simulator.now(), drain);
+    if (at > simulator.now()) {
+      path.ingest.flush();
+      simulator.run_until(at);
+    }
+    const std::int64_t recv_ns = path.clock_base_ns + at.count_nanos();
+    if (net::decode_packed_batch(datagram.wire, packed)) {
       for (std::uint32_t j = 0; j < packed.count(); ++j) {
         packed.get(j, frame);
-        offer(frame.from, frame.seq, frame.send_time.count_nanos(),
-              recv_wall_ns, wall_start_ns);
+        offer(path, frame, recv_ns);
       }
-    } else if (net::decode_heartbeat_frame(wire, frame)) {
-      offer(frame.from, frame.seq, frame.send_time.count_nanos(),
-            recv_wall_ns, wall_start_ns);
+    } else if (net::decode_heartbeat_frame(datagram.wire, frame)) {
+      offer(path, frame, recv_ns);
     } else {
-      ++stats_.drops_decode;
+      ++stats.drops_decode;
     }
   }
-  ingest_->flush();
-  ++stats_.batches;
-  stats_.datagrams += drained;
+  path.ingest.flush();
+  ++stats.batches;
+  stats.datagrams += batch.size();
   if (obs::enabled()) {
     auto& ins = obs::instruments();
     ins.serve_batches_total.inc();
-    ins.serve_datagrams_total.inc(drained);
-    ins.serve_batch_size.observe(static_cast<double>(drained));
+    ins.serve_datagrams_total.inc(batch.size());
+    ins.serve_batch_size.observe(static_cast<double>(batch.size()));
+    ins.serve_lag_seconds.observe((drain - oldest).to_seconds_double());
     // One delta-flush per batch keeps the per-heartbeat path free of
     // shared-cacheline traffic even with obs on.
-    if (stats_.drops_decode != before.drops_decode) {
-      ins.serve_drops_decode.inc(stats_.drops_decode - before.drops_decode);
+    if (stats.drops_decode != before.drops_decode) {
+      ins.serve_drops_decode.inc(stats.drops_decode - before.drops_decode);
     }
-    if (stats_.drops_capacity != before.drops_capacity) {
-      ins.serve_drops_capacity.inc(stats_.drops_capacity -
+    if (stats.drops_capacity != before.drops_capacity) {
+      ins.serve_drops_capacity.inc(stats.drops_capacity -
                                    before.drops_capacity);
     }
   }
+}
+
+void ServeDaemon::process_batch(std::size_t drained, TimePoint drain,
+                                std::int64_t wall_start_ns) {
+  drained_.clear();
+  for (std::size_t i = 0; i < drained; ++i) {
+    // Without a kernel stamp the drain instant is the best arrival known.
+    const std::optional<std::int64_t> stamp = socket_->arrival(i);
+    drained_.push_back(
+        {socket_->datagram(i),
+         stamp ? TimePoint::from_nanos(*stamp - wall_start_ns) : drain});
+  }
+  ingest_in_arrival_order(
+      {simulator_, *ingest_, capture_.get(), wall_start_ns, stats_}, drained_,
+      drain);
 }
 
 void ServeDaemon::publish_status(bool finished) {
@@ -230,32 +257,40 @@ int ServeDaemon::run() {
   publish_status(false);
   obs::RunFinalizer finalizer(config_.run_id);
 
+  const auto virtual_now = [wall_start_ns] {
+    return TimePoint::from_nanos(wall_ns() - wall_start_ns);
+  };
+  // The gather window: at most 0.2% of η added to when a suspicion is
+  // raised (never to whether: arrivals replay against the timers), and at
+  // most M/500 datagrams of backlog at one heartbeat per datagram.
+  const Duration gather = config_.eta / 500;
   while (!stop_requested()) {
-    const TimePoint v_now =
-        TimePoint::origin() + Duration::nanos(wall_ns() - wall_start_ns);
-    if (v_now >= deadline) break;
-    // Fire detector timers and cycle ticks due by this wall instant, so
-    // every observe_heartbeat sees a fresh now().
-    simulator_.run_until(std::min(v_now, deadline));
     const std::size_t drained = socket_->recv_batch();
+    const TimePoint drain = std::min(virtual_now(), deadline);
     if (drained > 0) {
-      process_batch(drained, v_now, wall_start_ns);
+      process_batch(drained, drain, wall_start_ns);
       if (capture_ != nullptr && !capture_->ok()) {
         FDQOS_LOG_ERROR("serve: capture failed: %s",
                         capture_->error().c_str());
         publish_status(true);
         return 1;
       }
-      continue;  // stay hot while traffic is flowing
     }
+    if (drain >= deadline) break;
+    // A full drain may have left datagrams queued that arrived before
+    // timers due by now: take them first.
+    if (drained == config_.batch) continue;
+    simulator_.run_until(drain);
     // Idle: sleep in poll() until new data, the next detector deadline,
-    // or the run deadline — whichever lands first.
+    // or the run deadline — whichever lands first. Woken by data, let the
+    // rest of the burst land before draining it.
     const TimePoint next = std::min(simulator_.next_event_time(), deadline);
-    const TimePoint v_idle =
-        TimePoint::origin() + Duration::nanos(wall_ns() - wall_start_ns);
-    const int timeout_ms = net::clamp_poll_timeout_ms(next - v_idle);
+    const int timeout_ms = net::clamp_poll_timeout_ms(next - virtual_now());
     pollfd pfd{socket_->fd(), POLLIN, 0};
-    ::poll(&pfd, 1, timeout_ms);
+    if (::poll(&pfd, 1, timeout_ms) > 0 && gather > Duration::zero()) {
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(gather.count_nanos()));
+    }
   }
 
   bool clean = true;

@@ -5,22 +5,24 @@
 // into a production service mode:
 //
 //   UdpIngestSocket ──recvmmsg batches──▶ codec fast paths ──▶ FleetIngest
-//        │                                     │                   │
+//        │         + kernel arrival stamps     │                   │
 //        │                              (decode drops)      (capacity drops)
 //        ▼                                     ▼                   ▼
 //   poll() idle wait                  obs serve_* families   FleetBank shard
-//                                                                 │
+//   + η/500 gather                                                │
 //                              RotatingFdtWriter ◀── delay capture ┘
 //
 // The daemon drives a real-time loop in the RealTimeDriver idiom: virtual
-// time tracks the wall clock (steady_clock), the simulator runs detector
-// timers and cycle ticks up to "now", then one socket batch is drained,
-// decoded without allocation, and flushed into the FleetBank as a single
-// columnar ingest. Unknown sources are admitted onto pre-allocated member
-// slots on first sight; beyond --max-endpoints they are counted and
-// dropped. Every heartbeat's (send_time, delay) lands in rotating .fdt
-// segments, each independently replayable through `fdqos replay` while
-// the daemon is still running.
+// time tracks the wall clock (steady_clock). Each socket drain is decoded
+// without allocation and ingested in kernel-arrival order against the
+// detector timers (ingest_in_arrival_order): a timer due before a
+// datagram's arrival fires before it, one due after does not, however
+// late the drain. When an idle poll() wakes for data the loop sleeps η/500
+// first, so a burst is read in full batches. Unknown sources are admitted
+// onto pre-allocated member slots on first sight; beyond --max-endpoints
+// they are counted and dropped. Every heartbeat's (send_time, delay)
+// lands in rotating .fdt segments, each independently replayable through
+// `fdqos replay` while the daemon is still running.
 //
 // Wire formats accepted (net/codec.hpp): single "FDQ1" heartbeat
 // datagrams (what UdpTransport peers send) and packed "FDQB" batches
@@ -36,6 +38,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,16 +74,48 @@ struct ServeConfig {
   std::string run_id = "serve";
 };
 
+struct ServeStats {
+  std::uint64_t batches = 0;      // non-empty socket drains
+  std::uint64_t datagrams = 0;    // datagrams received
+  std::uint64_t heartbeats = 0;   // heartbeats ingested into the fleet
+  std::uint64_t drops_decode = 0;    // undecodable datagrams
+  std::uint64_t drops_capacity = 0;  // heartbeats beyond max-endpoints
+  std::uint64_t captured = 0;        // samples written to segments
+};
+
+// One drained datagram: its bytes and when it arrived, in daemon virtual
+// time (steady ns minus the run's start).
+struct DrainedDatagram {
+  std::span<const std::uint8_t> wire;
+  TimePoint arrival;
+};
+
+// Where one drained batch goes.
+struct IngestPath {
+  sim::Simulator& simulator;
+  fd::FleetIngest& ingest;
+  wan::RotatingFdtWriter* capture;  // null: capture off
+  std::int64_t clock_base_ns;  // steady ns of virtual time zero; senders
+                               // stamp send_ns on the same clock
+  ServeStats& stats;
+};
+
+// Ingests one drained batch in arrival order against the timers. Per
+// datagram, in order: clamp its arrival into [simulator now(), drain], so a
+// clock step can never move the simulator backwards or past the wall
+// clock; flush the heartbeats pending at the previous arrival; run timers
+// due by this arrival; then decode and offer its heartbeats, captured with
+// recv_ns = the clamped arrival. Ends with a flush; firing the timers up to
+// `drain` is the caller's call (a full drain may have left earlier
+// arrivals queued). Also counts the batch and, with obs on, flushes the
+// serve_* instruments once, lag (drain minus the oldest arrival) included.
+void ingest_in_arrival_order(const IngestPath& path,
+                             std::span<const DrainedDatagram> batch,
+                             TimePoint drain);
+
 class ServeDaemon {
  public:
-  struct Stats {
-    std::uint64_t batches = 0;      // non-empty socket drains
-    std::uint64_t datagrams = 0;    // datagrams received
-    std::uint64_t heartbeats = 0;   // heartbeats ingested into the fleet
-    std::uint64_t drops_decode = 0;    // undecodable datagrams
-    std::uint64_t drops_capacity = 0;  // heartbeats beyond max-endpoints
-    std::uint64_t captured = 0;        // samples written to segments
-  };
+  using Stats = ServeStats;
 
   explicit ServeDaemon(ServeConfig config);
   ~ServeDaemon();
@@ -113,10 +148,8 @@ class ServeDaemon {
   std::vector<std::string> capture_segments() const;
 
  private:
-  void process_batch(std::size_t drained, TimePoint v_now,
+  void process_batch(std::size_t drained, TimePoint drain,
                      std::int64_t wall_start_ns);
-  void offer(net::NodeId from, std::int64_t seq, std::int64_t send_ns,
-             std::int64_t recv_wall_ns, std::int64_t wall_start_ns);
   void publish_status(bool finished);
 
   ServeConfig config_;
@@ -125,6 +158,7 @@ class ServeDaemon {
   std::unique_ptr<fd::FleetBank> fleet_;
   std::unique_ptr<fd::FleetIngest> ingest_;
   std::unique_ptr<wan::RotatingFdtWriter> capture_;
+  std::vector<DrainedDatagram> drained_;  // batch slots, reused per drain
   Stats stats_;
   std::atomic<bool> stop_{false};
   bool initialized_ = false;

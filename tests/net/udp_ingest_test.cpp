@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +47,12 @@ class LoopbackSender {
   int fd_ = -1;
   sockaddr_in dest_{};
 };
+
+std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 // Drains until `want` datagrams arrived or ~2s elapsed, appending each
 // datagram's bytes to `out`.
@@ -144,6 +151,38 @@ TEST_P(UdpIngestSocketTest, OversizedDatagramArrivesTruncatedNotFatal) {
   ASSERT_EQ(drain_until(sock, 1, got), 1u);
   // Truncated to slot capacity — downstream decode fails, nothing crashes.
   EXPECT_LE(got[0].size(), 64u);
+}
+
+TEST_P(UdpIngestSocketTest, StampsEachDatagramWithItsSteadyArrival) {
+#ifndef __linux__
+  GTEST_SKIP() << "kernel receive stamps are Linux-only";
+#endif
+  UdpIngestSocket::Options opts;
+  opts.batch = 8;
+  opts.force_single_recv = GetParam();
+  UdpIngestSocket sock(opts);
+  ASSERT_TRUE(sock.ok());
+
+  LoopbackSender sender(sock.local_port());
+  const std::int64_t before = steady_ns();
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    sender.send({i});
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const std::size_t drained = sock.recv_batch();
+  const std::int64_t after = steady_ns();
+  ASSERT_EQ(drained, 3u);
+
+  // Drained at once, yet each keeps its own arrival, a few ms apart.
+  std::int64_t previous = before;
+  for (std::size_t i = 0; i < drained; ++i) {
+    const std::optional<std::int64_t> arrival = sock.arrival(i);
+    ASSERT_TRUE(arrival.has_value()) << "datagram " << i;
+    EXPECT_GE(*arrival, previous) << "datagram " << i;
+    EXPECT_LE(*arrival, after) << "datagram " << i;
+    previous = *arrival;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothDrainPaths, UdpIngestSocketTest,

@@ -21,7 +21,11 @@
 // sender held >= 98% of the target. A final packed phase re-runs with
 // rotating .fdt capture on, pricing the capture path.
 //
-// Writes BENCH_serve.json (object; "phases" has one entry per phase).
+// Writes one row (an object; "phases" has one entry per phase) to --out
+// (default serve_row.json), stamped with `commit` (`git describe --always
+// --dirty` of the working directory, "unknown" outside a checkout) and
+// `hw_jobs` (hardware threads). BENCH_serve.json checks in a list of such
+// rows, oldest first.
 //
 //   bench_serve [--endpoints N] [--phase-s S] [--records R] [--batch B]
 //               [--eta-ms MS] [--rates R1,R2,...] [--single-rates ...]
@@ -47,6 +51,8 @@
 
 #include "common/args.hpp"
 #include "common/time.hpp"
+#include "exec/thread_pool.hpp"
+#include "git_describe.hpp"
 #include "net/codec.hpp"
 #include "serve/daemon.hpp"
 
@@ -377,7 +383,7 @@ int main(int argc, char** argv) {
       args.get_string("--single-rates", "100000,250000,500000"));
   const std::string modes = args.get_string("--modes", "packed,single");
   const bool capture_phase = !args.get_flag("--no-capture-phase");
-  const std::string out_path = args.get_string("--out", "BENCH_serve.json");
+  const std::string out_path = args.get_string("--out", "serve_row.json");
   const bool run_packed = modes.find("packed") != std::string::npos;
   const bool run_single = modes.find("single") != std::string::npos;
 
@@ -434,13 +440,16 @@ int main(int argc, char** argv) {
   }
 
   std::string json = "{\n";
-  char head[256];
+  const std::string commit = tools::current_commit();
+  char head[384];
   std::snprintf(head, sizeof head,
-                "  \"bench\": \"serve\",\n  \"endpoints\": %zu,\n"
+                "  \"bench\": \"serve\",\n  \"commit\": \"%s\",\n"
+                "  \"hw_jobs\": %zu,\n  \"endpoints\": %zu,\n"
                 "  \"batch\": %zu,\n  \"eta_ms\": %lld,\n"
                 "  \"phase_s\": %.2f,\n",
-                opts.endpoints, opts.batch,
-                static_cast<long long>(opts.eta_ms), opts.phase_s);
+                commit.c_str(), exec::hardware_jobs(), opts.endpoints,
+                opts.batch, static_cast<long long>(opts.eta_ms),
+                opts.phase_s);
   json += head;
   json += "  \"phases\": [\n";
   for (std::size_t i = 0; i < phases.size(); ++i) {
