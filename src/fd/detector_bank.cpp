@@ -240,9 +240,9 @@ TimePoint DetectorBank::earliest_expiry() const {
 
 void DetectorBank::arm_at(TimePoint front) {
   if (host_ != nullptr) {
-    // Hosted: report instead of arming. The host already holds an entry at
-    // host_reported_, so only an earlier front needs a new one.
-    if (host_reported_ <= front) return;
+    // Hosted: report instead of arming, at every change a solo bank would
+    // move its event for — so the host never holds a stale deadline.
+    if (host_reported_ == front) return;
     host_reported_ = front;
     host_->member_deadline_changed(host_member_, front);
     return;
@@ -263,10 +263,8 @@ void DetectorBank::arm_at(TimePoint front) {
 void DetectorBank::timer_fired() { arm_at(fire_due(simulator_.now())); }
 
 void DetectorBank::host_timer_check() {
-  // A host-queue entry for this member came due. It may be stale (its row
-  // died, or a later report undercut it): fire_due() then finds nothing.
-  // Either way the consumed entry is replaced by re-reporting the current
-  // front, so the next live deadline still fires.
+  // The host consumed the live deadline it held for this member; report
+  // the next one, as a solo bank re-arms after its event fires.
   const TimePoint front = fire_due(simulator_.now());
   host_reported_ = TimePoint::max();
   arm_at(front);
@@ -352,6 +350,7 @@ void DetectorBank::update_suspicion(std::size_t lane) {
   const bool should_suspect = max_seq_ < freshness_index_[lane];
   if (should_suspect == (suspecting_[lane] != 0)) return;
   suspecting_[lane] = should_suspect ? 1 : 0;
+  if (host_ != nullptr) host_->member_suspicion_changed(should_suspect);
   if (obs::enabled()) {
     auto& m = obs::instruments();
     (should_suspect ? m.fd_transitions_to_suspect : m.fd_transitions_to_trust)

@@ -79,17 +79,23 @@ class DetectorBank : public runtime::Layer {
 
   // Timer host for bank-of-banks coalescing (fd::FleetBank). A hosted bank
   // never arms its own simulator event and never schedules its own
-  // cycle-begin tick; instead it reports its earliest pending freshness
-  // deadline through member_deadline_changed(), and the host drives
-  // host_begin_cycle() / host_timer_check() at the right instants — one
-  // armed event and one cycle tick per *shard* instead of per bank.
+  // cycle-begin tick; instead it reports its earliest live freshness
+  // deadline through member_deadline_changed() wherever a solo bank would
+  // move its armed event, and the host drives host_begin_cycle() /
+  // host_timer_check() at the right instants — one armed event and one
+  // cycle tick per *shard* instead of per bank.
   class TimerHost {
    public:
     virtual ~TimerHost() = default;
-    // The member's earliest pending deadline dropped below every deadline
-    // reported since the host's last host_timer_check() on this member.
+    // The member's earliest live deadline changed to `due`: a row born
+    // earlier moved it earlier, a heartbeat that killed its row moved it
+    // later, and TimePoint::max() withdraws it (no live row is left). The
+    // host keeps exactly this one deadline per member; a deadline it hands
+    // to host_timer_check() counts as consumed.
     virtual void member_deadline_changed(std::size_t member,
                                          TimePoint due) = 0;
+    // One of the member's lanes went trust → suspect (true) or back.
+    virtual void member_suspicion_changed(bool suspecting) = 0;
   };
 
   DetectorBank(sim::Simulator& simulator, Config config);
@@ -122,16 +128,16 @@ class DetectorBank : public runtime::Layer {
   // host_begin_cycle(k): exactly begin_cycle(k) minus the self-scheduling
   // of cycle k+1 — the host's shared tick calls every member in turn.
   void host_begin_cycle(std::int64_t k);
-  // host_timer_check(): called whenever a deadline this member reported
-  // comes due at the host. Dispatches every due live freshness point (if
-  // any — a stale entry is a no-op), then re-reports the new earliest live
-  // deadline, so every consumed host-queue entry is replaced and no
+  // host_timer_check(): called when the live deadline this member last
+  // reported comes due at the host. Dispatches every due live freshness
+  // point, then reports the new earliest live deadline (if any), so no
   // deadline is ever lost.
   void host_timer_check();
   // Earliest pending live freshness deadline — the earliest τ + 1 ns of a
   // cycle whose heartbeat has not arrived yet; TimePoint::max() when none.
   TimePoint earliest_expiry() const;
   bool started() const { return started_; }
+  net::NodeId monitored() const { return config_.monitored; }
 
   // Capacity hints for allocation-free steady state (fleet assembly sizes
   // these from the width and the cycles in flight before the run starts).
@@ -167,7 +173,7 @@ class DetectorBank : public runtime::Layer {
   // obs plane renders `deadline − now` as the freshness-timer lag gauge
   // (how far away the next possible suspicion is), so a live scrape can
   // see a detector coasting vs. about to fire. A solo bank's armed event
-  // sits exactly here; a hosted bank's host fires at or before it.
+  // sits exactly here, and so does a hosted bank's host entry.
   TimePoint next_timer_deadline() const { return earliest_expiry(); }
 
  private:
@@ -212,9 +218,8 @@ class DetectorBank : public runtime::Layer {
   bool started_ = false;
 
   // Hosted mode (see TimerHost): the host pointer, this bank's member
-  // index there, and the lowest deadline reported since the last check —
-  // arm_at() reports only when the front undercuts it (a host entry
-  // cannot be withdrawn; one left behind by a dead row is a no-op check).
+  // index there, and the deadline the host holds for it (max() = none) —
+  // the hosted twin of armed_.time(); arm_at() reports every change.
   TimerHost* host_ = nullptr;
   std::size_t host_member_ = 0;
   TimePoint host_reported_ = TimePoint::max();

@@ -1,6 +1,5 @@
 #include "fd/fleet_bank.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -19,12 +18,13 @@ void FleetBank::Counters::add(const Counters& other) {
 }
 
 FleetBank::FleetBank(sim::Simulator& simulator, Config config)
-    : simulator_(simulator), config_(std::move(config)) {
+    : simulator_(simulator),
+      config_(std::move(config)),
+      wheel_(config_.epoch, config_.eta, arena_) {
   FDQOS_REQUIRE(config_.eta > Duration::zero());
   if (config_.expected_endpoints > 0) {
     members_.reserve(config_.expected_endpoints);
-    due_heap_.reserve(config_.expected_endpoints);
-    endpoint_of_.reserve(config_.expected_endpoints);
+    wheel_.reserve(config_.expected_endpoints);
   }
 }
 
@@ -42,9 +42,8 @@ DetectorBank& FleetBank::add_member(net::NodeId monitored, std::string name) {
       arena_.make<DetectorBank>(simulator_, std::move(member_config));
   member->set_timer_host(this, members_.size());
   members_.push_back(member);
-  // First registration wins: duplicate ids only occur in per-node
-  // attachment mode, which never routes through handle_up.
-  endpoint_of_.emplace(monitored, members_.size() - 1);
+  wheel_.add_member();
+  if (!endpoint_of_.empty()) endpoint_of_.clear();  // rebuilt on next route
   return *member;
 }
 
@@ -71,6 +70,7 @@ void FleetBank::start() {
   // endpoint's monitor node; its begin_cycle(0) ran inline there.)
   for (DetectorBank* member : members_) {
     if (!member->started()) member->start();
+    lanes_ += member->width();
   }
   // The shared cycle tick replaces every member's self-scheduled
   // cycle-begin event: the first tick lands at σ_1 (cycle 0 was computed
@@ -94,18 +94,28 @@ void FleetBank::cycle_tick(std::int64_t k) {
 }
 
 void FleetBank::member_deadline_changed(std::size_t member, TimePoint due) {
-  due_heap_.push_back(
-      MemberDue{due, next_due_seq_++, static_cast<std::uint32_t>(member)});
-  std::push_heap(due_heap_.begin(), due_heap_.end(), MemberDueAfter{});
-  arm();
+  wheel_.set(static_cast<std::uint32_t>(member), due);
+  if (!firing_) arm();
+}
+
+void FleetBank::member_suspicion_changed(bool suspecting) {
+  if (suspecting) {
+    ++suspecting_;
+  } else {
+    --suspecting_;
+  }
 }
 
 void FleetBank::arm() {
-  if (due_heap_.empty()) return;
-  const TimePoint front = due_heap_.front().due;
-  // One armed event per shard; it moves (in place) only when the front
-  // undercuts it, and is re-armed after it fires.
-  if (armed_.time() <= front) return;
+  // One armed event per shard, kept exactly like a solo bank's: at the
+  // earliest live due, moved in place when that due changes (earlier or
+  // later), re-armed after it fires, and cancelled when no due is left.
+  const TimePoint front = wheel_.front();
+  if (armed_.time() == front) return;
+  if (front == TimePoint::max()) {
+    armed_.cancel();
+    return;
+  }
   if (!simulator_.reschedule(armed_, front)) {
     armed_ = simulator_.schedule_at(front, [this] { fired(); });
   }
@@ -114,17 +124,16 @@ void FleetBank::arm() {
 void FleetBank::fired() {
   ++counters_.timer_events;
   const TimePoint now = simulator_.now();
-  while (!due_heap_.empty() && due_heap_.front().due <= now) {
-    std::pop_heap(due_heap_.begin(), due_heap_.end(), MemberDueAfter{});
-    const MemberDue e = due_heap_.back();
-    due_heap_.pop_back();
+  firing_ = true;
+  while (wheel_.front() <= now) {
     ++counters_.member_checks;
-    // The check pops the member's due freshness points (or nothing, for a
-    // stale entry) and re-reports its new front — every consumed entry is
-    // replaced, so no member deadline can be skipped. (Armed-event savings
-    // are member_counters().timer_events − counters_.timer_events.)
-    members_[e.member]->host_timer_check();
+    // The check fires the member's due freshness points and reports its
+    // new front (later than now), which relinks its wheel entry. (Armed-
+    // event savings are member_counters().timer_events −
+    // counters_.timer_events.)
+    members_[wheel_.pop_front()]->host_timer_check();
   }
+  firing_ = false;
   arm();
 }
 
@@ -141,8 +150,17 @@ void FleetBank::handle_up(const net::Message& msg) {
     deliver_up(msg);
     return;
   }
-  const auto it = endpoint_of_.find(msg.from);
-  if (it == endpoint_of_.end()) {
+  if (endpoint_of_.empty()) {
+    // First registration wins: duplicate ids only occur in per-node
+    // attachment mode, which never routes through handle_up.
+    endpoint_of_.reserve(members_.size());
+    for (std::size_t e = 0; e < members_.size(); ++e) {
+      endpoint_of_.emplace(members_[e]->monitored(),
+                           static_cast<std::uint32_t>(e));
+    }
+  }
+  const std::uint32_t member = endpoint_of_.find(msg.from);
+  if (member == SlotTable::kNoSlot) {
     ++counters_.unroutable;
     deliver_up(msg);
     return;
@@ -155,7 +173,7 @@ void FleetBank::handle_up(const net::Message& msg) {
     return;
   }
   ++counters_.heartbeats;
-  members_[it->second]->observe_heartbeat(msg.seq);
+  members_[member]->observe_heartbeat(msg.seq);
 }
 
 void FleetBank::ingest(std::size_t endpoint, std::int64_t seq) {
@@ -177,15 +195,8 @@ void FleetBank::ingest_columns(const HeartbeatColumns& batch) {
 }
 
 std::size_t FleetBank::total_lanes() const {
-  std::size_t n = 0;
-  for (const DetectorBank* member : members_) n += member->width();
-  return n;
-}
-
-std::size_t FleetBank::suspecting_count() const {
-  std::size_t n = 0;
-  for (const DetectorBank* member : members_) n += member->suspecting_count();
-  return n;
+  FDQOS_REQUIRE(started_);
+  return lanes_;
 }
 
 DetectorBank::Counters FleetBank::member_counters() const {
@@ -198,11 +209,8 @@ std::size_t FleetBank::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += arena_.allocated_bytes();
   bytes += members_.capacity() * sizeof(DetectorBank*);
-  bytes += due_heap_.capacity() * sizeof(MemberDue);
-  // unordered_map: buckets + one node per entry (approximation).
-  bytes += endpoint_of_.bucket_count() * sizeof(void*);
-  bytes += endpoint_of_.size() *
-           (sizeof(std::pair<net::NodeId, std::size_t>) + 2 * sizeof(void*));
+  bytes += wheel_.memory_bytes();  // its bucket heads sit in the arena
+  bytes += endpoint_of_.memory_bytes();
   return bytes;
 }
 

@@ -11,10 +11,10 @@
 //     shard tick walks every member (arena-packed, nearly sequential
 //     memory) instead of each bank scheduling its own event.
 //   * ONE armed freshness-timer event per shard. Members run in
-//     DetectorBank::TimerHost mode: they report their earliest pending
-//     deadline into the fleet's (due, seq, member) min-heap, and the fleet
-//     keeps a single armed event at the heap front — the same
-//     "re-arm only if earlier" rule the bank applies to its lanes.
+//     DetectorBank::TimerHost mode: they report every change of their
+//     earliest live deadline into the fleet's DueWheel (one entry per
+//     member), and the fleet keeps a single armed event at the wheel's
+//     front — exactly where a solo bank keeps its own.
 //   * Columnar heartbeat ingestion: a coordinator batches arrivals across
 //     endpoints into index-aligned (endpoint, seq) columns and hands the
 //     shard one ingest_columns() call per batch; each entry takes the
@@ -30,11 +30,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.hpp"
 #include "fd/detector_bank.hpp"
+#include "fd/due_wheel.hpp"
+#include "fd/slot_table.hpp"
 #include "runtime/layer.hpp"
 #include "sim/simulator.hpp"
 
@@ -47,7 +48,7 @@ class FleetBank final : public runtime::Layer, private DetectorBank::TimerHost {
     TimePoint epoch = TimePoint::origin();  // shared σ_i = epoch + i·η
     Duration cold_start_timeout = Duration::seconds(1);
     std::string name = "fleet";     // log/telemetry label for the shard
-    std::size_t expected_endpoints = 0;  // capacity hint for the heaps
+    std::size_t expected_endpoints = 0;  // capacity hint for member tables
   };
 
   // Shard-level engine counters; the experiment flushes them into the
@@ -60,7 +61,9 @@ class FleetBank final : public runtime::Layer, private DetectorBank::TimerHost {
     std::uint64_t heartbeats = 0;
     std::uint64_t batches = 0;        // columnar batches ingested
     std::uint64_t timer_events = 0;   // shard armed events actually fired
-    std::uint64_t member_checks = 0;  // member deadline checks dispatched
+    // Member deadline checks dispatched. Every check is at a live due, so
+    // this equals the members' own timer_events.
+    std::uint64_t member_checks = 0;
     // Member simulator events avoided by the shard-level tick and timer
     // (each member would otherwise schedule its own).
     std::uint64_t coalesced_events = 0;
@@ -103,7 +106,9 @@ class FleetBank final : public runtime::Layer, private DetectorBank::TimerHost {
   void start() override;
 
   // Routed ingestion: heartbeats are routed to the member registered for
-  // msg.from; anything else falls through to deliver_up. Wild sequence
+  // msg.from; anything else falls through to deliver_up. The id → member
+  // table is built on the first routed heartbeat, so fleets fed by member
+  // index (the daemon, the bench) never pay for it. Wild sequence
   // numbers (negative, or large enough that epoch + η·seq overflows) are
   // counted as malformed and dropped — network input is data, never a
   // contract violation.
@@ -114,8 +119,11 @@ class FleetBank final : public runtime::Layer, private DetectorBank::TimerHost {
   void ingest(std::size_t endpoint, std::int64_t seq);
   void ingest_columns(const HeartbeatColumns& batch);
 
+  // Lanes over every member, fixed at start().
   std::size_t total_lanes() const;
-  std::size_t suspecting_count() const;
+  // Suspecting lanes over every member: a running tally kept by the
+  // members' transitions, never a walk.
+  std::size_t suspecting_count() const { return suspecting_; }
   const Counters& counters() const { return counters_; }
   // Aggregate of every member's engine counters.
   DetectorBank::Counters member_counters() const;
@@ -127,19 +135,8 @@ class FleetBank final : public runtime::Layer, private DetectorBank::TimerHost {
   std::size_t memory_bytes() const;
 
  private:
-  struct MemberDue {
-    TimePoint due;
-    std::uint64_t seq;  // push order — stable tie-break
-    std::uint32_t member;
-  };
-  struct MemberDueAfter {
-    bool operator()(const MemberDue& a, const MemberDue& b) const {
-      if (a.due != b.due) return a.due > b.due;  // min-heap
-      return a.seq > b.seq;
-    }
-  };
-
   void member_deadline_changed(std::size_t member, TimePoint due) override;
+  void member_suspicion_changed(bool suspecting) override;
   void cycle_tick(std::int64_t k);
   void arm();
   void fired();
@@ -149,15 +146,17 @@ class FleetBank final : public runtime::Layer, private DetectorBank::TimerHost {
   Config config_;
   common::MonotonicArena arena_;
   std::vector<DetectorBank*> members_;  // arena-owned
-  std::unordered_map<net::NodeId, std::size_t> endpoint_of_;  // routing
+  SlotTable endpoint_of_;  // routing, built on the first routed heartbeat
 
-  // Coalesced member deadlines: vector min-heap + one armed event, the
-  // bank's own expiry idiom lifted one level.
-  std::vector<MemberDue> due_heap_;
-  std::uint64_t next_due_seq_ = 0;
+  // Coalesced member deadlines: one wheel entry per member + one armed
+  // event at its front, the bank's own expiry idiom lifted one level.
+  DueWheel wheel_;
   sim::EventHandle armed_;
+  bool firing_ = false;  // inside fired(): re-arm once, after the checks
 
   bool started_ = false;
+  std::size_t lanes_ = 0;
+  std::size_t suspecting_ = 0;
   Counters counters_;
 };
 

@@ -5,22 +5,21 @@
 namespace fdqos::fd {
 
 FleetIngest::FleetIngest(FleetBank& fleet, std::size_t capacity)
-    : fleet_(fleet), capacity_(capacity) {
+    : fleet_(fleet), capacity_(capacity), slot_of_(capacity) {
   FDQOS_REQUIRE(fleet.members() >= capacity);
-  slot_of_.reserve(capacity);
 }
 
 bool FleetIngest::offer(net::NodeId source, std::int64_t seq) {
-  auto it = slot_of_.find(source);
-  if (it == slot_of_.end()) {
+  std::uint32_t slot = slot_of_.find(source);
+  if (slot == SlotTable::kNoSlot) {
     if (slot_of_.size() >= capacity_) {
       ++counters_.dropped_capacity;
       return false;
     }
-    it = slot_of_.emplace(source, static_cast<std::uint32_t>(slot_of_.size()))
-             .first;
+    slot = slot_of_.emplace(source,
+                            static_cast<std::uint32_t>(slot_of_.size()));
   }
-  batch_.endpoint.push_back(it->second);
+  batch_.endpoint.push_back(slot);
   batch_.seq.push_back(seq);
   return true;
 }
@@ -32,8 +31,8 @@ void FleetIngest::flush() {
 }
 
 std::size_t FleetIngest::slot_of(net::NodeId source) const {
-  auto it = slot_of_.find(source);
-  return it == slot_of_.end() ? capacity_ : it->second;
+  const std::uint32_t slot = slot_of_.find(source);
+  return slot == SlotTable::kNoSlot ? capacity_ : slot;
 }
 
 }  // namespace fdqos::fd

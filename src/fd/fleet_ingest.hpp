@@ -10,12 +10,14 @@
 // receive batch — so the bank sees exactly the ingest_columns() fast path
 // the fleet bench exercises. Heartbeats beyond capacity are counted and
 // dropped (the FleetBank contract: wire input is data, never an abort).
+// The id → slot lookup on every heartbeat is a flat SlotTable sized for
+// `capacity` up front, so admission never rehashes under load.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "fd/fleet_bank.hpp"
+#include "fd/slot_table.hpp"
 
 namespace fdqos::fd {
 
@@ -48,7 +50,7 @@ class FleetIngest {
  private:
   FleetBank& fleet_;
   std::size_t capacity_;
-  std::unordered_map<net::NodeId, std::uint32_t> slot_of_;
+  SlotTable slot_of_;
   FleetBank::HeartbeatColumns batch_;
   Counters counters_;
 };

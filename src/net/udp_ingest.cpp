@@ -27,8 +27,9 @@ struct SlotHeader {
 };
 #endif
 
-// Per-slot control buffer: room for one timespec control message.
-constexpr std::size_t kControlBytes = CMSG_SPACE(sizeof(timespec));
+// Per-slot control buffer: room for the timestamp and the drop count.
+constexpr std::size_t kControlBytes =
+    CMSG_SPACE(sizeof(timespec)) + CMSG_SPACE(sizeof(std::uint32_t));
 constexpr std::int64_t kNoStamp = std::numeric_limits<std::int64_t>::min();
 
 template <typename Clock>
@@ -38,23 +39,36 @@ std::int64_t clock_ns() {
       .count();
 }
 
-// The kernel's CLOCK_REALTIME receive stamp of one received message, or
-// kNoStamp when it carries none.
-std::int64_t kernel_stamp_ns(msghdr& hdr) {
-#ifdef SCM_TIMESTAMPNS
+// What the kernel attached to one received message: its CLOCK_REALTIME
+// receive stamp (kNoStamp when none) and the socket's drop count, when it
+// carries one.
+struct ControlData {
+  std::int64_t stamp_ns = kNoStamp;
+  bool has_overflow = false;
+  std::uint32_t overflow = 0;
+};
+
+ControlData read_control_data(msghdr& hdr) {
+  ControlData out;
   for (cmsghdr* c = CMSG_FIRSTHDR(&hdr); c != nullptr;
        c = CMSG_NXTHDR(&hdr, c)) {
-    if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SCM_TIMESTAMPNS) {
+    if (c->cmsg_level != SOL_SOCKET) continue;
+#ifdef SCM_TIMESTAMPNS
+    if (c->cmsg_type == SCM_TIMESTAMPNS) {
       timespec ts;
       std::memcpy(&ts, CMSG_DATA(c), sizeof ts);
-      return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 +
-             ts.tv_nsec;
+      out.stamp_ns = static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 +
+                     ts.tv_nsec;
     }
-  }
-#else
-  (void)hdr;
 #endif
-  return kNoStamp;
+#ifdef SO_RXQ_OVFL
+    if (c->cmsg_type == SO_RXQ_OVFL) {
+      std::memcpy(&out.overflow, CMSG_DATA(c), sizeof out.overflow);
+      out.has_overflow = true;
+    }
+#endif
+  }
+  return out;
 }
 
 }  // namespace
@@ -86,13 +100,19 @@ UdpIngestSocket::UdpIngestSocket(const Options& opts)
     const int want = opts.rcvbuf_bytes;
     (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &want, sizeof want);
   }
+  [[maybe_unused]] const int on = 1;
 #ifdef SO_TIMESTAMPNS
   // Best-effort too: without stamps arrival() reports none and the caller
   // falls back to its drain instant.
-  const int on = 1;
   if (::setsockopt(fd_, SOL_SOCKET, SO_TIMESTAMPNS, &on, sizeof on) != 0) {
     FDQOS_LOG_DEBUG("ingest: SO_TIMESTAMPNS refused: %s",
                     std::strerror(errno));
+  }
+#endif
+#ifdef SO_RXQ_OVFL
+  // Best-effort: without it kernel_drops() stays 0.
+  if (::setsockopt(fd_, SOL_SOCKET, SO_RXQ_OVFL, &on, sizeof on) != 0) {
+    FDQOS_LOG_DEBUG("ingest: SO_RXQ_OVFL refused: %s", std::strerror(errno));
   }
 #endif
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
@@ -161,12 +181,12 @@ std::size_t UdpIngestSocket::recv_batch() {
     }
     const auto drained = static_cast<std::size_t>(rc);
     for (std::size_t i = 0; i < drained; ++i) lengths_[i] = msgs[i].msg_len;
-    stamp_arrivals(drained);
+    read_control(drained);
     return drained;
   }
 #endif
   const std::size_t drained = recv_batch_single();
-  stamp_arrivals(drained);
+  read_control(drained);
   return drained;
 }
 
@@ -190,7 +210,7 @@ std::size_t UdpIngestSocket::recv_batch_single() {
   return n;
 }
 
-void UdpIngestSocket::stamp_arrivals(std::size_t drained) {
+void UdpIngestSocket::read_control(std::size_t drained) {
   if (drained == 0) return;
   // One (realtime, steady) pair per drain maps every stamp of the batch
   // into the steady domain the caller runs its timers on.
@@ -198,8 +218,14 @@ void UdpIngestSocket::stamp_arrivals(std::size_t drained) {
                               clock_ns<std::chrono::system_clock>();
   auto* msgs = reinterpret_cast<SlotHeader*>(headers_.data());
   for (std::size_t i = 0; i < drained; ++i) {
-    const std::int64_t stamp = kernel_stamp_ns(msgs[i].msg_hdr);
-    arrivals_[i] = stamp == kNoStamp ? kNoStamp : stamp + offset;
+    const ControlData control = read_control_data(msgs[i].msg_hdr);
+    arrivals_[i] =
+        control.stamp_ns == kNoStamp ? kNoStamp : control.stamp_ns + offset;
+    if (control.has_overflow) {
+      // The kernel's count is 32 bits and wraps; widen by its increments.
+      kernel_drops_ += control.overflow - overflow_count_;
+      overflow_count_ = control.overflow;
+    }
   }
 }
 

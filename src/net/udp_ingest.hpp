@@ -16,6 +16,12 @@
 // still knows when each datagram really arrived. Both drain paths share
 // one slot header with its own control buffer, so they stamp alike.
 //
+// Kernel drops: the socket also asks for SO_RXQ_OVFL, the kernel's running
+// count of datagrams it dropped at this socket (a full receive queue),
+// which rides on each datagram queued after a drop. kernel_drops() reports
+// the latest count seen, so loss before the daemon ever saw a datagram is
+// told apart from loss inside it.
+//
 // Like UdpTransport, the bind host must be an IPv4 literal — construction
 // fails fast (ok() == false) on anything inet_pton rejects.
 #pragma once
@@ -72,9 +78,14 @@ class UdpIngestSocket {
 
   bool using_recvmmsg() const { return use_recvmmsg_; }
 
+  // Datagrams the kernel dropped at this socket since it opened, as of the
+  // last datagram drained (0 where SO_RXQ_OVFL is unavailable). A drop
+  // shows up with the next datagram queued after it.
+  std::uint64_t kernel_drops() const { return kernel_drops_; }
+
  private:
   std::size_t recv_batch_single();
-  void stamp_arrivals(std::size_t drained);
+  void read_control(std::size_t drained);
 
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
@@ -86,6 +97,8 @@ class UdpIngestSocket {
   std::unique_ptr<std::uint8_t[]> slab_;
   std::vector<std::size_t> lengths_;        // filled per drained datagram
   std::vector<std::int64_t> arrivals_;      // steady ns, or a no-stamp mark
+  std::uint32_t overflow_count_ = 0;  // last SO_RXQ_OVFL value (wraps)
+  std::uint64_t kernel_drops_ = 0;    // widened running total
   std::vector<std::uint8_t> headers_;  // opaque slot header/iovec/control
 };
 

@@ -66,7 +66,12 @@ Instruments& instruments() {
       Registry::global().histogram(
           "fdqos_serve_lag_seconds",
           "fdqos serve drain instant minus the oldest kernel arrival stamp "
-          "of the batch"),
+          "of the batch",
+          {}, Histogram::seconds_bounds()),
+      Registry::global().counter(
+          "fdqos_serve_kernel_drops_total",
+          "Datagrams the kernel dropped at the fdqos serve socket because "
+          "its receive queue was full (SO_RXQ_OVFL)"),
       Registry::global().counter("fdqos_crash_events_total",
                                  "SimCrash injector events",
                                  {{"kind", "crash"}}),

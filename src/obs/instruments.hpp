@@ -45,15 +45,18 @@ struct Instruments {
   // `fdqos serve` ingest daemon (serve/daemon.hpp): recvmmsg batches
   // drained, datagrams received, heartbeats dropped (labeled by reason:
   // decode failure vs. admission capacity), the per-drain batch-size
-  // distribution, and the daemon's lag (drain instant minus the oldest
-  // kernel arrival stamp of the batch, in seconds). Incremented once per
-  // batch, never per datagram.
+  // distribution, the daemon's lag (drain instant minus the oldest
+  // kernel arrival stamp of the batch, in seconds, on the seconds ladder),
+  // and the datagrams the kernel dropped because the socket's receive
+  // queue was full (SO_RXQ_OVFL). Incremented once per batch, never per
+  // datagram.
   Counter& serve_batches_total;
   Counter& serve_datagrams_total;
   Counter& serve_drops_decode;
   Counter& serve_drops_capacity;
   Histogram& serve_batch_size;
   Histogram& serve_lag_seconds;
+  Counter& serve_kernel_drops;
 
   // SimCrash injector.
   Counter& crash_injections;

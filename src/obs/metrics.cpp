@@ -126,17 +126,24 @@ void Gauge::add(double delta) {
   }
 }
 
-const std::array<double, Histogram::kBucketCount>& Histogram::bucket_bounds() {
+const Histogram::Bounds& Histogram::bucket_bounds() {
   // 1-2-5 per decade over [1, 5e6]: with microsecond observations this
   // spans 1 µs .. 5 s before the overflow bucket.
-  static const std::array<double, kBucketCount> kBounds = {
+  static const Bounds kBounds = {
       1,    2,    5,    10,   20,   50,   100,  200,  500,  1000,
       2000, 5000, 1e4,  2e4,  5e4,  1e5,  2e5,  5e5,  1e6,  5e6};
   return kBounds;
 }
 
+const Histogram::Bounds& Histogram::seconds_bounds() {
+  static const Bounds kBounds = {
+      1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01,
+      0.02, 0.05, 0.1,  0.2,  0.5,  1,    2,    5,    10,   20};
+  return kBounds;
+}
+
 void Histogram::observe(double v) {
-  const auto& bounds = bucket_bounds();
+  const Bounds& bounds = *bounds_;
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
   const std::size_t idx = static_cast<std::size_t>(it - bounds.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
@@ -170,7 +177,8 @@ double Histogram::quantile_estimate(double q) const {
 Registry::Instrument& Registry::instrument(const std::string& name,
                                            const std::string& help,
                                            MetricType type,
-                                           const Labels& labels) {
+                                           const Labels& labels,
+                                           const Histogram::Bounds* bounds) {
   FDQOS_REQUIRE(!name.empty());
   std::lock_guard<std::mutex> lock(mu_);
   auto [fam_it, fam_created] = families_.try_emplace(name);
@@ -178,8 +186,10 @@ Registry::Instrument& Registry::instrument(const std::string& name,
   if (fam_created) {
     family.help = help;
     family.type = type;
+    family.bounds = bounds;
   } else {
     FDQOS_REQUIRE(family.type == type);
+    FDQOS_REQUIRE(family.bounds == bounds);
   }
   auto [inst_it, inst_created] =
       family.instruments.try_emplace(render_labels(labels));
@@ -195,7 +205,7 @@ Registry::Instrument& Registry::instrument(const std::string& name,
         inst.gauge = std::make_unique<Gauge>();
         break;
       case MetricType::kHistogram:
-        inst.histogram = std::make_unique<Histogram>();
+        inst.histogram = std::make_unique<Histogram>(*family.bounds);
         break;
     }
   }
@@ -213,8 +223,10 @@ Gauge& Registry::gauge(const std::string& name, const std::string& help,
 }
 
 Histogram& Registry::histogram(const std::string& name,
-                               const std::string& help, const Labels& labels) {
-  return *instrument(name, help, MetricType::kHistogram, labels).histogram;
+                               const std::string& help, const Labels& labels,
+                               const Histogram::Bounds& bounds) {
+  return *instrument(name, help, MetricType::kHistogram, labels, &bounds)
+              .histogram;
 }
 
 std::size_t Registry::family_count() const {
@@ -252,7 +264,7 @@ std::string Registry::to_prometheus() const {
           for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
             cumulative += h.bucket_count(i);
             out += name + "_bucket{" + label_str + sep + "le=\"" +
-                   format_double(Histogram::bucket_bounds()[i]) + "\"} " +
+                   format_double(h.bounds()[i]) + "\"} " +
                    std::to_string(cumulative) + "\n";
           }
           cumulative += h.bucket_count(Histogram::kBucketCount);
@@ -320,7 +332,7 @@ std::string Registry::to_jsonl() const {
             if (i > 0) out.push_back(',');
             const std::string le =
                 i < Histogram::kBucketCount
-                    ? format_double(Histogram::bucket_bounds()[i])
+                    ? format_double(h.bounds()[i])
                     : std::string("\"+Inf\"");
             out += "{\"le\":" + le +
                    ",\"n\":" + std::to_string(h.bucket_count(i)) + "}";

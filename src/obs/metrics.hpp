@@ -74,9 +74,11 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Histogram over fixed log-scale buckets: a 1-2-5 series per decade from
-// 1 to 5e6 plus a +Inf overflow bucket. The unit is whatever the caller
-// observes (built-in instruments use microseconds and say so in the name).
+// Histogram over 20 fixed log-scale buckets plus a +Inf overflow bucket.
+// The bounds are chosen per family at registration: the default ladder is a
+// 1-2-5 series per decade from 1 to 5e6 (built-in instruments observe
+// microseconds and say so in the name); seconds_bounds() spans 10 µs to
+// 20 s for families observed in seconds.
 //
 // Next to the buckets, every histogram carries three streaming P²
 // quantile sketches (p50/p95/p99) so a live scrape gets sharp quantile
@@ -87,13 +89,22 @@ class Gauge {
 class Histogram {
  public:
   static constexpr std::size_t kBucketCount = 20;  // finite bounds
+  // Ascending finite upper bounds; bucket i counts observations v with
+  // bound[i-1] < v <= bound[i] (Prometheus `le` semantics).
+  using Bounds = std::array<double, kBucketCount>;
   // The quantiles every histogram summarizes, exposed in the text
   // exposition as gauge families `<name>_p50/_p95/_p99`.
   static constexpr std::array<double, 3> kSummaryQuantiles = {0.5, 0.95, 0.99};
-  // Ascending finite upper bounds; bucket i counts observations v with
-  // bound[i-1] < v <= bound[i] (Prometheus `le` semantics).
-  static const std::array<double, kBucketCount>& bucket_bounds();
+  // The default ladder, 1 .. 5e6.
+  static const Bounds& bucket_bounds();
+  // 1-2-5 per decade over [1e-5, 20]: seconds from 10 µs to 20 s.
+  static const Bounds& seconds_bounds();
 
+  // `bounds` must have static storage duration (one of the ladders above).
+  explicit Histogram(const Bounds& bounds = bucket_bounds())
+      : bounds_(&bounds) {}
+
+  const Bounds& bounds() const { return *bounds_; }
   void observe(double v);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -105,6 +116,7 @@ class Histogram {
   double quantile_estimate(double q) const;
 
  private:
+  const Bounds* bounds_;
   std::array<std::atomic<std::uint64_t>, kBucketCount + 1> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
@@ -129,8 +141,12 @@ class Registry {
                    const Labels& labels = {});
   Gauge& gauge(const std::string& name, const std::string& help,
                const Labels& labels = {});
+  // A family's bucket bounds are fixed by its first registration;
+  // re-registering it with other bounds aborts.
   Histogram& histogram(const std::string& name, const std::string& help,
-                       const Labels& labels = {});
+                       const Labels& labels = {},
+                       const Histogram::Bounds& bounds =
+                           Histogram::bucket_bounds());
 
   // Prometheus text exposition format (families sorted by name, label sets
   // sorted within a family — deterministic for golden tests).
@@ -157,12 +173,14 @@ class Registry {
   struct Family {
     std::string help;
     MetricType type = MetricType::kCounter;
+    const Histogram::Bounds* bounds = nullptr;  // histogram families only
     // Keyed by the canonical rendered label string ("" for no labels).
     std::map<std::string, Instrument> instruments;
   };
 
   Instrument& instrument(const std::string& name, const std::string& help,
-                         MetricType type, const Labels& labels);
+                         MetricType type, const Labels& labels,
+                         const Histogram::Bounds* bounds = nullptr);
 
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;

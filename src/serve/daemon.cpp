@@ -220,6 +220,14 @@ void ServeDaemon::process_batch(std::size_t drained, TimePoint drain,
   ingest_in_arrival_order(
       {simulator_, *ingest_, capture_.get(), wall_start_ns, stats_}, drained_,
       drain);
+  const std::uint64_t kernel_drops = socket_->kernel_drops();
+  if (kernel_drops != stats_.kernel_drops) {
+    if (obs::enabled()) {
+      obs::instruments().serve_kernel_drops.inc(kernel_drops -
+                                                stats_.kernel_drops);
+    }
+    stats_.kernel_drops = kernel_drops;
+  }
 }
 
 void ServeDaemon::publish_status(bool finished) {

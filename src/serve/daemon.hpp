@@ -81,6 +81,9 @@ struct ServeStats {
   std::uint64_t drops_decode = 0;    // undecodable datagrams
   std::uint64_t drops_capacity = 0;  // heartbeats beyond max-endpoints
   std::uint64_t captured = 0;        // samples written to segments
+  // Datagrams the kernel dropped at the socket (receive queue full), as
+  // of the last batch: lost before the daemon could see them.
+  std::uint64_t kernel_drops = 0;
 };
 
 // One drained datagram: its bytes and when it arrived, in daemon virtual

@@ -201,6 +201,41 @@ TEST_P(FleetScheduleTest, MembersMatchStandaloneBanks) {
             fleet.fleet.counters().timer_events);
 }
 
+// The fleet's running suspect tally equals a walk over every member at
+// every pause of a lossy run, and each member check the shard dispatched
+// fired at least one live freshness point (checks == member timer fires).
+TEST_P(FleetScheduleTest, SuspectTallyMatchesMemberWalk) {
+  const std::uint64_t seed = GetParam();
+  constexpr std::size_t kEndpoints = 6;
+  const auto suite = small_suite();
+  const Rng base(seed);
+
+  FleetHarness fleet(kEndpoints, suite);
+  for (std::size_t e = 0; e < kEndpoints; ++e) {
+    for (const Arrival& a : endpoint_schedule(base.fork(e), e)) {
+      fleet.sim.schedule_at(TimePoint::origin() + a.at, [&fleet, a] {
+        fleet.fleet.ingest(a.endpoint, a.seq);
+      });
+    }
+  }
+  fleet.fleet.start();
+  std::size_t suspected_pauses = 0;
+  for (std::int64_t ms = 250; ms <= 1000 * static_cast<std::int64_t>(kCycles + 5);
+       ms += 250) {
+    fleet.sim.run_until(TimePoint::origin() + Duration::millis(ms));
+    std::size_t walk = 0;
+    for (std::size_t e = 0; e < kEndpoints; ++e) {
+      walk += fleet.fleet.member(e).suspecting_count();
+    }
+    ASSERT_EQ(fleet.fleet.suspecting_count(), walk) << "at " << ms << " ms";
+    if (walk > 0) ++suspected_pauses;
+  }
+  EXPECT_GT(suspected_pauses, 0u);
+  EXPECT_EQ(fleet.fleet.total_lanes(), kEndpoints * suite.size());
+  EXPECT_EQ(fleet.fleet.counters().member_checks,
+            fleet.fleet.member_counters().timer_events);
+}
+
 // Ingestion is endpoint-local: delivering the same instant's arrivals in
 // ascending vs descending endpoint order changes nothing anywhere.
 TEST_P(FleetScheduleTest, InterleavingOrderAcrossEndpointsIsIrrelevant) {

@@ -185,6 +185,29 @@ TEST_P(UdpIngestSocketTest, StampsEachDatagramWithItsSteadyArrival) {
   }
 }
 
+// A receive queue far smaller than the burst overflows; the kernel's drop
+// count rides on the next datagram queued after the drops.
+TEST_P(UdpIngestSocketTest, CountsKernelDropsWhenTheReceiveQueueOverflows) {
+  UdpIngestSocket::Options opts;
+  opts.batch = 64;
+  opts.rcvbuf_bytes = 2048;  // the kernel rounds up to its minimum
+  opts.force_single_recv = GetParam();
+  UdpIngestSocket sock(opts);
+  ASSERT_TRUE(sock.ok());
+  LoopbackSender sender(sock.local_port());
+  const std::vector<std::uint8_t> payload(256, 0x5a);
+  for (int i = 0; i < 400; ++i) sender.send(payload);
+  std::size_t queued = 0;
+  for (std::size_t n; (n = sock.recv_batch()) > 0;) queued += n;
+  ASSERT_GT(queued, 0u);
+  ASSERT_LT(queued, 400u) << "the receive queue never overflowed";
+
+  sender.send(payload);
+  std::vector<std::vector<std::uint8_t>> got;
+  ASSERT_EQ(drain_until(sock, 1, got), 1u);
+  EXPECT_EQ(sock.kernel_drops(), 400u - queued);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothDrainPaths, UdpIngestSocketTest,
                          testing::Values(false, true),
                          [](const testing::TestParamInfo<bool>& info) {

@@ -53,6 +53,44 @@ TEST(HistogramTest, BoundsAreStrictlyAscending) {
   }
 }
 
+TEST(HistogramTest, SecondsLadderIsStrictlyAscending) {
+  const auto& bounds = Histogram::seconds_bounds();
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_LT(bounds[i - 1], bounds[i]);
+  }
+}
+
+// A family registered on the seconds ladder spreads sub-second lags over
+// many buckets (on the default ladder every one of them lands in le="1"),
+// and its exposition prints that family's bounds only.
+TEST(HistogramTest, PerFamilyBoundsSpreadSecondsObservations) {
+  Registry reg;
+  Histogram& lag = reg.histogram("fdqos_demo_lag_seconds", "lag", {},
+                                 Histogram::seconds_bounds());
+  Histogram& us = reg.histogram("fdqos_demo_us", "micros");
+  for (const double v : {3e-5, 4e-4, 1.5e-3, 0.03, 0.3, 4.0}) {
+    lag.observe(v);
+    us.observe(v);
+  }
+  std::size_t used = 0;
+  for (std::size_t i = 0; i <= Histogram::kBucketCount; ++i) {
+    used += lag.bucket_count(i) > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(used, 6u);
+  EXPECT_EQ(us.bucket_count(0), 5u);  // le="1" swallows the sub-second ones
+  const std::string text = reg.to_prometheus();
+  EXPECT_NE(text.find("fdqos_demo_lag_seconds_bucket{le=\"0.0005\"} 2"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("fdqos_demo_us_bucket{le=\"5000000\"} 6"),
+            std::string::npos)
+      << text;
+  // Re-registering a family with the bounds it already has is fine.
+  EXPECT_EQ(&reg.histogram("fdqos_demo_lag_seconds", "lag", {},
+                           Histogram::seconds_bounds()),
+            &lag);
+}
+
 TEST(RegistryTest, SameNameAndLabelsYieldSameInstrument) {
   Registry reg;
   Counter& a = reg.counter("x_total", "help", {{"k", "v"}});

@@ -15,11 +15,14 @@
 // margins) — O(1) predictors, so the measured cost is the fleet engine,
 // not ARIMA refits.
 //
-// Writes BENCH_fleet.json:
-//   [{"bench": "fleet", "endpoints": 100, "shards": 4, "lanes": 1200,
-//     "cycles": 2000, "heartbeats": ..., "wall_s": ..., "hb_per_s": ...,
-//     "bytes_per_endpoint": ..., "timer_events": ..., "member_checks": ...,
-//     "coalesced_events": ...}, ...]
+// Writes BENCH_fleet.json, one row per M stamped with `commit` (`git
+// describe --always --dirty` of the working directory) and `hw_jobs`
+// (hardware threads):
+//   [{"bench": "fleet", "commit": "...", "hw_jobs": 4, "endpoints": 100,
+//     "shards": 4, "lanes": 1200, "cycles": 2000, "heartbeats": ...,
+//     "wall_s": ..., "hb_per_s": ..., "bytes_per_endpoint": ...,
+//     "timer_events": ..., "member_checks": ..., "coalesced_events": ...},
+//    ...]
 //
 // --verify additionally re-runs each M on a single shard and asserts the
 // final per-member detector state digest is identical — shard count is
@@ -38,8 +41,10 @@
 
 #include "common/args.hpp"
 #include "common/time.hpp"
+#include "exec/thread_pool.hpp"
 #include "fd/fleet_bank.hpp"
 #include "fd/suite.hpp"
+#include "git_describe.hpp"
 #include "sim/simulator.hpp"
 
 using namespace fdqos;
@@ -190,7 +195,6 @@ SweepResult run_sweep(std::size_t endpoints, std::size_t shard_count,
           TimePoint::origin() + eta * static_cast<std::int64_t>(k) + delay,
           [sp, k] { sp->fleet->ingest_columns(sp->batches[k - 1]); });
     }
-    result.lanes += shard.fleet->total_lanes();
   }
 
   const TimePoint horizon =
@@ -203,6 +207,7 @@ SweepResult run_sweep(std::size_t endpoints, std::size_t shard_count,
   });
 
   for (const ShardRun& shard : shards) {
+    result.lanes += shard.fleet->total_lanes();
     result.counters.add(shard.fleet->counters());
     result.memory_bytes += shard.fleet->memory_bytes();
   }
@@ -263,18 +268,21 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
+  const std::string commit = tools::current_commit();
   std::string json = "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SweepResult& r = results[i];
-    char line[384];
+    char line[512];
     std::snprintf(
         line, sizeof line,
-        "  {\"bench\": \"fleet\", \"endpoints\": %zu, \"shards\": %zu, "
+        "  {\"bench\": \"fleet\", \"commit\": \"%s\", \"hw_jobs\": %zu, "
+        "\"endpoints\": %zu, \"shards\": %zu, "
         "\"lanes\": %zu, \"cycles\": %zu, \"heartbeats\": %llu, "
         "\"wall_s\": %.3f, \"hb_per_s\": %.0f, \"bytes_per_endpoint\": %zu, "
         "\"timer_events\": %llu, \"member_checks\": %llu, "
         "\"coalesced_events\": %llu}%s\n",
-        r.endpoints, r.shards, r.lanes, r.cycles,
+        commit.c_str(), exec::hardware_jobs(), r.endpoints, r.shards, r.lanes,
+        r.cycles,
         static_cast<unsigned long long>(r.heartbeats), r.wall_s,
         static_cast<double>(r.heartbeats) / r.wall_s,
         r.memory_bytes / r.endpoints,

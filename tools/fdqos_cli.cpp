@@ -779,13 +779,14 @@ int cmd_serve(const ArgParser& args) {
   std::fprintf(stderr,
                "[fdqos serve] shutdown: %llu heartbeats from %zu endpoints, "
                "%llu datagrams in %llu batches, drops decode=%llu "
-               "capacity=%llu\n",
+               "capacity=%llu kernel=%llu\n",
                static_cast<unsigned long long>(stats.heartbeats),
                daemon.ingest().admitted(),
                static_cast<unsigned long long>(stats.datagrams),
                static_cast<unsigned long long>(stats.batches),
                static_cast<unsigned long long>(stats.drops_decode),
-               static_cast<unsigned long long>(stats.drops_capacity));
+               static_cast<unsigned long long>(stats.drops_capacity),
+               static_cast<unsigned long long>(stats.kernel_drops));
   const auto segments = daemon.capture_segments();
   if (config.capture) {
     std::fprintf(stderr,
